@@ -20,9 +20,12 @@
 /// injectable deterministically via FaultInjection for the test
 /// battery.  Crashed/disconnected workers are restarted (bounded by
 /// `max_restarts`) against the same --store-dir, so they resume warm
-/// from the periodic snapshot; their outstanding units re-issue.  An
-/// error envelope disqualifies the worker outright (no restart — the
-/// envelope means the process is alive but unusable for this sweep).
+/// from the periodic snapshot; their outstanding units re-issue.  A
+/// protocol fault disqualifies the worker outright (no restart — the
+/// process is alive but unusable for this sweep): an error envelope, a
+/// response line over the wire bound (io::kMaxWireLineBytes), an
+/// unparsable line, an unknown unit id, or an objective count that
+/// does not match the unit.
 ///
 /// Determinism contract: objectives are pure functions of the
 /// candidate, units are deduped by id (first result wins, duplicates
@@ -82,7 +85,7 @@ struct SweepTelemetry {
   long long duplicate_results = 0;   ///< responses discarded by first-result-wins
   long long worker_deaths = 0;       ///< EOF/EPIPE/kill/disconnect events
   long long worker_restarts = 0;     ///< successful respawns/reconnects
-  long long protocol_errors = 0;     ///< error envelopes (each disqualifies a worker)
+  long long protocol_errors = 0;     ///< protocol faults (each disqualifies a worker)
 };
 
 /// A completed sweep: the nominal assignment's objective, the merged

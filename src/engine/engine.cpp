@@ -103,8 +103,11 @@ struct Engine::Impl {
   /// Periodic persist-on-idle (EngineOptions::persist_interval_ms): one
   /// background thread that re-spills the snapshot whenever artifacts
   /// were inserted since the last save, so an abruptly killed process
-  /// still leaves a warm snapshot.  Joined (never detached) on
-  /// destruction; the condvar interrupts the sleep so shutdown is
+  /// still leaves a warm snapshot.  The dirty baseline is the insertion
+  /// count right after the startup load, taken in the constructor
+  /// before the thread starts (so insertions made before the thread is
+  /// first scheduled still count as unsaved).  Joined (never detached)
+  /// on destruction; the condvar interrupts the sleep so shutdown is
   /// immediate.
   util::Mutex persist_mutex;
   util::CondVar persist_cv;
@@ -121,7 +124,8 @@ struct Engine::Impl {
     persistence.load_skipped_corrupt = loaded.records_skipped;
     persistence.load_reason = loaded.reason;
     if (options.persist_interval_ms > 0) {
-      persist_thread = std::thread([this] { persist_loop(); });
+      const std::size_t baseline = total_insertions();
+      persist_thread = std::thread([this, baseline] { persist_loop(baseline); });
     }
   }
 
@@ -150,9 +154,9 @@ struct Engine::Impl {
     return store.save(store_snapshot_path(options.store_dir));
   }
 
-  void persist_loop() WHARF_EXCLUDES(persist_mutex) {
+  /// `last_saved` is the insertion count the startup load left behind.
+  void persist_loop(std::size_t last_saved) WHARF_EXCLUDES(persist_mutex) {
     const auto interval = std::chrono::milliseconds(options.persist_interval_ms);
-    std::size_t last_saved = total_insertions();
     for (;;) {
       {
         const util::MutexLock guard(persist_mutex);

@@ -16,6 +16,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -117,6 +118,8 @@ struct TempDir {
 /// stay silent — the hung-worker behavior).  Connections are handled
 /// sequentially, matching the coordinator's one-link-per-worker
 /// topology (a reconnect arrives only after the previous link died).
+/// `ended_connections()` counts the links that have ended, so another
+/// scripted worker can wait for this one to be dropped.
 class FakeWorker {
  public:
   using Handler = std::function<std::string(const std::string&)>;
@@ -144,6 +147,7 @@ class FakeWorker {
   }
 
   [[nodiscard]] int port() const { return port_; }
+  [[nodiscard]] int ended_connections() const { return ended_connections_.load(); }
 
  private:
   void serve() {
@@ -152,6 +156,7 @@ class FakeWorker {
       if (fd < 0) return;
       handle(fd);
       ::close(fd);
+      ++ended_connections_;
     }
   }
 
@@ -186,6 +191,7 @@ class FakeWorker {
   Handler on_line_;
   int listen_fd_ = -1;
   int port_ = 0;
+  std::atomic<int> ended_connections_{0};
   std::thread thread_;
 };
 
@@ -434,11 +440,28 @@ TEST(DistFaults, OversizedWorkerResponseDisqualifies) {
     if (is_open_request(line)) return open_ack();
     return std::string(io::kMaxWireLineBytes + 16, 'x');
   });
+  // The partner answers truthfully, but only once the coordinator has
+  // dropped the shouty link: a free-running partner could steal the
+  // shouty worker's units and finish the sweep before the oversized
+  // line was ever read, which the scheduler is allowed to do.  One
+  // give-up deadline for the whole sweep (not renewed per line) means
+  // a coordinator that never disqualifies fails the assertion below
+  // instead of hanging.
+  search::PipelineEvaluator evaluator(system, espec);
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  FakeWorker gated([&evaluator, &shouty, give_up](const std::string& line) {
+    if (is_open_request(line)) return open_ack();
+    while (shouty.ended_connections() == 0 && std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return evaluate_ok(evaluator, line);
+  });
 
   SweepOptions sweep;
   sweep.k = 5;
   sweep.unit_size = 1;
-  const std::vector<WorkerSpec> workers = {connect_spec(shouty.port()), spawn_spec()};
+  const std::vector<WorkerSpec> workers = {connect_spec(shouty.port()),
+                                           connect_spec(gated.port())};
   const Expected<SweepOutcome> outcome = run_sweep(system, {}, candidates, workers, sweep);
   ASSERT_TRUE(outcome) << outcome.status().to_string();
   expect_identical(outcome.value(), nominal, oracle);
