@@ -10,15 +10,22 @@
 // regular chain is solved twice per candidate: full and overload-free —
 // exactly the per-target work of a standard engine request.
 //
+// A second, near-saturation sweep permutes the priorities of a system
+// whose lowest-priority chain charges a long-run load above 1: there the
+// reference search runs to its K_b cap while the flat kernel stops at
+// its divergence certificate.
+//
 // Emits machine-readable "BENCH {...}" JSON lines next to the tables;
 // CI gates on `identical_to_reference` (field-by-field LatencyResult
 // equality across the whole sweep), on `speedup_vs_reference >= 2` and
-// on an absolute solves/sec floor.
+// on an absolute solves/sec floor, and for the near-saturation record on
+// `identical_classification` and `speedup_vs_reference >= 20`.
 //
 //   $ ./bench_core_solver
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <iostream>
 #include <random>
 #include <sstream>
@@ -31,6 +38,7 @@
 #include "gen/random_systems.hpp"
 #include "io/json.hpp"
 #include "io/tables.hpp"
+#include "tests/support/saturated_system.hpp"
 #include "util/stopwatch.hpp"
 #include "util/strings.hpp"
 
@@ -80,6 +88,13 @@ bool same_result(const LatencyResult& a, const LatencyResult& b) {
          a.misses_per_window == b.misses_per_window && a.schedulable == b.schedulable;
 }
 
+/// The criterion for searches that may be cut short: the same
+/// classification, and field-by-field equality when bounded (an
+/// unbounded result carries only its reason, which names its cause).
+bool same_classification(const LatencyResult& a, const LatencyResult& b) {
+  return a.bounded == b.bounded && (!a.bounded || same_result(a, b));
+}
+
 struct SweepOutcome {
   double seconds = 0;
   long long solves = 0;
@@ -92,9 +107,10 @@ struct SweepOutcome {
 
 /// Runs the sweep through one implementation: `flat` picks the
 /// data-oriented kernel, otherwise the reference path.
-SweepOutcome run_sweep(const std::vector<System>& candidates, bool flat) {
+SweepOutcome run_sweep(const std::vector<System>& candidates, bool flat,
+                       Count max_busy_windows = 5'000) {
   AnalysisOptions options;
-  options.max_busy_windows = 5'000;
+  options.max_busy_windows = max_busy_windows;
   SweepOutcome outcome;
   util::Stopwatch clock;
   for (const System& sys : candidates) {
@@ -169,6 +185,71 @@ void print_tables() {
   emit_bench_json("flat", flat, speedup, identical);
 }
 
+void print_saturated_tables() {
+  constexpr int kCandidates = 20;
+  constexpr Count kCap = 20'000;
+  const System base = testsupport::saturated_system();
+  std::vector<System> candidates;
+  std::mt19937_64 rng(23);
+  for (int i = 0; i < kCandidates; ++i) {
+    // A random permutation with the lowest priority moved to a task of
+    // chain a (flat task index 0 or 1).
+    std::vector<Priority> priorities = gen::shuffled_priorities(base.task_count(), rng);
+    const auto lowest = std::find(priorities.begin(), priorities.end(), Priority(1));
+    std::swap(*lowest, priorities[static_cast<std::size_t>(i % 2)]);
+    candidates.push_back(base.with_priorities(priorities));
+  }
+
+  const SweepOutcome reference = run_sweep(candidates, /*flat=*/false, kCap);
+  const SweepOutcome flat = run_sweep(candidates, /*flat=*/true, kCap);
+  const double speedup = flat.seconds > 0 ? reference.seconds / flat.seconds : 0.0;
+  bool identical = flat.results.size() == reference.results.size();
+  for (std::size_t i = 0; identical && i < flat.results.size(); ++i) {
+    identical = same_classification(flat.results[i], reference.results[i]);
+  }
+  const auto unbounded_in = [](const SweepOutcome& o) {
+    return static_cast<long long>(std::count_if(o.results.begin(), o.results.end(),
+                                                [](const LatencyResult& r) { return !r.bounded; }));
+  };
+  const long long unbounded = unbounded_in(flat);
+
+  std::cout << "=== Core solver near saturation: divergence certificate vs. capped reference ("
+            << kCandidates << " priority permutations, K_b cap " << kCap << ") ===\n";
+  io::TextTable table({"variant", "solves", "unbounded", "seconds", "solves/s"});
+  table.add_row({"reference (runs to the cap)", util::cat(reference.solves),
+                 util::cat(unbounded_in(reference)), util::cat(reference.seconds),
+                 util::cat(reference.solves_per_sec())});
+  table.add_row({"flat (divergence certificate)", util::cat(flat.solves), util::cat(unbounded),
+                 util::cat(flat.seconds), util::cat(flat.solves_per_sec())});
+  std::cout << table.render();
+  std::cout << "speedup flat vs reference: " << speedup
+            << "x; classification identical: " << (identical ? "yes" : "NO — BUG") << "\n\n";
+
+  std::ostringstream os;
+  io::JsonWriter w(os);
+  w.begin_object();
+  w.key("name");
+  w.value("core_solver");
+  w.key("variant");
+  w.value("near_saturation");
+  w.key("solves");
+  w.value(flat.solves);
+  w.key("unbounded");
+  w.value(unbounded);
+  w.key("seconds");
+  w.value(flat.seconds);
+  w.key("reference_seconds");
+  w.value(reference.seconds);
+  w.key("solves_per_sec");
+  w.value(flat.solves_per_sec());
+  w.key("speedup_vs_reference");
+  w.value(speedup);
+  w.key("identical_classification");
+  w.value(identical);
+  w.end_object();
+  std::cout << "BENCH " << os.str() << '\n';
+}
+
 void BM_FlatLatency(benchmark::State& state) {
   const System sys = sweep_system();
   AnalysisOptions options;
@@ -195,6 +276,7 @@ BENCHMARK(BM_ReferenceLatency);
 
 int main(int argc, char** argv) {
   print_tables();
+  print_saturated_tables();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -54,6 +54,13 @@ class ArrivalTable {
   /// Heap footprint of the dense prefix, for store weight accounting.
   [[nodiscard]] std::size_t heap_bytes() const { return delta_.capacity() * sizeof(Time); }
 
+  /// The tail (meaningful only when flat()): dense_prefix()[i] is
+  /// delta_minus(i + 1), and every q beyond the prefix obeys
+  /// delta_minus(q) = delta_minus(q - block()) + span().
+  [[nodiscard]] const std::vector<Time>& dense_prefix() const { return delta_; }
+  [[nodiscard]] Count block() const { return block_; }  ///< recurrence stride
+  [[nodiscard]] Time span() const { return span_; }     ///< distance per stride
+
  private:
   ArrivalModelPtr model_;
   /// delta_[i] == delta_minus(i + 1); covers q in [1, valid_from + block - 1],

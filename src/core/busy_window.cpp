@@ -16,13 +16,19 @@
 ///    iterating from max(q*C_b, B(q-1)) reaches the same least fixed
 ///    point in far fewer steps;
 ///  * BusyTimeTerm labels are rendered lazily (BusyTimeTerm::label) —
-///    the analysis allocates no diagnostic strings.
+///    the analysis allocates no diagnostic strings;
+///  * a K_b search that has not closed after kCertifyAfter activations
+///    asks for a divergence certificate: when the long-run load Eq. (1)
+///    charges is provably above 1, it stops short of the cap with an
+///    unbounded result that names that load.  The reference always runs
+///    to the cap; classifications and bounded results stay identical.
 /// The kernel itself allocates only at construction (the row array);
 /// every fixed-point iteration is allocation-free.
 
 #include "core/busy_window.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/expect.hpp"
 #include "util/strings.hpp"
@@ -52,6 +58,89 @@ struct InterfererRow {
 Count row_eta(const InterfererRow& row, Time window) {
   return row.table != nullptr ? row.table->eta_plus(window) : row.model->eta_plus(window);
 }
+
+using Wide = __int128;
+
+/// Exact 128-bit arithmetic that remembers whether any step overflowed;
+/// results are meaningless once overflowed() is true.
+class CheckedWide {
+ public:
+  Wide add(Wide a, Wide b) {
+    Wide r = 0;
+    if (__builtin_add_overflow(a, b, &r)) overflowed_ = true;
+    return r;
+  }
+  Wide sub(Wide a, Wide b) {
+    Wide r = 0;
+    if (__builtin_sub_overflow(a, b, &r)) overflowed_ = true;
+    return r;
+  }
+  Wide mul(Wide a, Wide b) {
+    Wide r = 0;
+    if (__builtin_mul_overflow(a, b, &r)) overflowed_ = true;
+    return r;
+  }
+  /// Least common multiple of two positive values.
+  Wide lcm(Wide a, Wide b) { return mul(a / gcd(a, b), b); }
+  [[nodiscard]] bool overflowed() const { return overflowed_; }
+
+  static Wide gcd(Wide a, Wide b) {
+    while (b != 0) a = std::exchange(b, a % b);
+    return a;
+  }
+
+ private:
+  bool overflowed_ = false;
+};
+
+/// Decimal rendering of a non-negative Wide (the streams cannot print one).
+std::string wide_string(Wide v) {
+  std::string digits;
+  do {
+    digits.push_back(static_cast<char>('0' + static_cast<int>(v % 10)));
+    v /= 10;
+  } while (v > 0);
+  return {digits.rbegin(), digits.rend()};
+}
+
+/// Linear envelope of a flat delta_minus curve:
+///   block * delta_minus(q) <= q * span + slack   for every q >= 1,
+/// with the tightest slack.  Past the dense prefix, q = r + m * block for
+/// a dense anchor r and delta_minus(q) = delta_minus(r) + m * span, so
+/// block * delta_minus(q) - q * span equals its value at r: the maximum
+/// over the prefix bounds the whole curve.  It also bounds eta+ from
+/// below: eta+(w) >= (block * w - slack - span) / span for w >= 0.
+struct CurveEnvelope {
+  Wide block = 1;
+  Wide span = 1;
+  Wide slack = 0;
+};
+
+std::optional<CurveEnvelope> envelope_of(const ArrivalTable* table) {
+  if (table == nullptr || !table->flat()) return std::nullopt;
+  // r = 1 contributes -span: delta_minus(1) = 0.
+  CurveEnvelope env{table->block(), table->span(), -Wide{table->span()}};
+  const std::vector<Time>& prefix = table->dense_prefix();
+  for (std::size_t i = 1; i < prefix.size(); ++i) {
+    const Wide r = static_cast<Wide>(i) + 1;
+    env.slack = std::max(env.slack, env.block * prefix[i] - r * env.span);
+  }
+  return env;
+}
+
+/// Proof that the busy window never closes from activation `from_q` on,
+/// because the long-run load Eq. (1) charges, load_num / load_den, is
+/// above 1 (see BusyWindowKernel::divergence_certificate).
+struct DivergenceCertificate {
+  Count from_q = 1;
+  Wide load_num = 0;
+  Wide load_den = 1;
+};
+
+/// The K_b search asks for a divergence certificate once it has run this
+/// many activations without the window closing, so searches that close
+/// earlier (nearly all of them) never pay for it.
+constexpr Count kCertifyAfter = 64;
 
 /// Flat evaluator of the Eq. (1)/(3)/(4) right-hand sides for one
 /// (target, exclude set) pair.  Built once per analysis; all hot-path
@@ -128,6 +217,64 @@ class BusyWindowKernel {
     return self_table_ != nullptr ? self_table_->delta_minus(q) : self_model_->delta_minus(q);
   }
 
+  /// Proof that the K_b search may stop: from activation from_q on, the
+  /// busy window provably never closes.  nullopt when it cannot decide:
+  /// the charged load is at most 1, a curve with an eta+ factor is not
+  /// flat, the exact arithmetic overflows, or from_q lies beyond the
+  /// search cap.
+  ///
+  /// Suppose the window closed at q: B = B(q) <= D = delta_minus_b(q+1).
+  /// Then eta_b(B) <= q, so the async self term vanishes, and dropping
+  /// the constant costs of Eq. (1) and the eta+ lower bound of each
+  /// CurveEnvelope leave
+  ///   B >= q*C_b + sum_a u_a * (block_a*B - slack_a - span_a) / span_a.
+  /// Over the common denominator P of all spans, with
+  ///   N_o = P * sum_a u_a * block_a / span_a   (the others' load, times P),
+  ///   W   = P * sum_a u_a * (slack_a + span_a) / span_a,
+  /// this reads (P - N_o)*B >= P*q*C_b - W.  With E = max(0, P - N_o),
+  /// B <= D and block_b*D <= (q+1)*span_b + slack_b it gives
+  ///   q * (block_b*P*C_b - E*span_b) <= E*(span_b + slack_b) + block_b*W.
+  /// The factor on q is span_b*(N - P) when E = P - N_o, where
+  /// N = N_o + P*C_b*block_b/span_b is the charged load times P, so it is
+  /// positive exactly when N/P > 1; every larger q contradicts closing.
+  [[nodiscard]] std::optional<DivergenceCertificate> divergence_certificate() const {
+    const std::optional<CurveEnvelope> self = envelope_of(self_table_);
+    if (!self.has_value()) return std::nullopt;
+    struct ChargedRow {
+      Wide unit_cost;
+      CurveEnvelope env;
+    };
+    std::vector<ChargedRow> charged;
+    charged.reserve(rows_.size());
+    CheckedWide x;
+    Wide den = self->span;  // P
+    for (const InterfererRow& row : rows_) {
+      if (!row.has_eta || row.unit_cost == 0) continue;  // no long-run load
+      const std::optional<CurveEnvelope> env = envelope_of(row.table);
+      if (!env.has_value()) return std::nullopt;
+      den = x.lcm(den, env->span);
+      charged.push_back(ChargedRow{row.unit_cost, *env});
+    }
+    Wide others = 0;  // N_o
+    Wide offset = 0;  // W
+    for (const ChargedRow& row : charged) {
+      const Wide scale = den / row.env.span;
+      others = x.add(others, x.mul(x.mul(row.unit_cost, row.env.block), scale));
+      offset = x.add(offset, x.mul(x.mul(row.unit_cost, row.env.slack + row.env.span), scale));
+    }
+    const Wide load = x.add(others, x.mul(x.mul(target_cost_, self->block), den / self->span));
+    const Wide room = std::max<Wide>(0, x.sub(den, others));  // E
+    const Wide factor =
+        x.sub(x.mul(x.mul(self->block, den), target_cost_), x.mul(room, self->span));
+    const Wide bound =
+        x.add(x.mul(room, self->span + self->slack), x.mul(self->block, offset));
+    if (x.overflowed() || load <= den || factor <= 0) return std::nullopt;
+    const Wide from_q = bound / factor + 1;
+    if (from_q > options_.max_busy_windows) return std::nullopt;
+    const Wide common = CheckedWide::gcd(load, den);
+    return DivergenceCertificate{static_cast<Count>(from_q), load / common, den / common};
+  }
+
   /// Itemization of rhs(q, busy) as structured terms (zero amounts are
   /// skipped, like the reference breakdown).
   [[nodiscard]] std::vector<BusyTimeTerm> breakdown(Count q, Time busy) const {
@@ -183,8 +330,18 @@ class BusyWindowKernel {
   std::vector<InterfererRow> rows_;
 };
 
+/// An unbounded result: only the reason is meaningful, so none of the
+/// busy times computed on the way are kept.
+LatencyResult unbounded(std::string reason) {
+  LatencyResult result;
+  result.reason = std::move(reason);
+  return result;
+}
+
 /// The K_b search of Theorem 2 + Lemma 3 over a prebuilt kernel, with
-/// warm-started fixed points.
+/// warm-started fixed points.  Once kCertifyAfter activations have not
+/// closed the window, a divergence certificate (when one exists) cuts
+/// the search short of the cap at the first activation it covers.
 LatencyResult run_latency_search(const BusyWindowKernel& kernel, const Chain& b,
                                  const AnalysisOptions& options) {
   LatencyResult result;
@@ -193,13 +350,13 @@ LatencyResult run_latency_search(const BusyWindowKernel& kernel, const Chain& b,
 
   Count misses = 0;
   Time warm = 0;
-  for (Count q = 1; q <= options.max_busy_windows; ++q) {
+  Count last_q = options.max_busy_windows;
+  std::optional<DivergenceCertificate> certificate;
+  for (Count q = 1; q <= last_q; ++q) {
     const std::optional<Time> bq = kernel.fixed_point(q, warm);
     if (!bq.has_value()) {
-      result.bounded = false;
-      result.reason = util::cat("busy-time fixed point diverged at q=", q,
-                                " (processor overloaded or guard exceeded)");
-      return result;
+      return unbounded(util::cat("busy-time fixed point diverged at q=", q,
+                                 " (processor overloaded or guard exceeded)"));
     }
     warm = *bq;
     result.busy_times.push_back(*bq);
@@ -220,11 +377,18 @@ LatencyResult run_latency_search(const BusyWindowKernel& kernel, const Chain& b,
       }
       return result;
     }
+    if (q == kCertifyAfter) {
+      certificate = kernel.divergence_certificate();
+      if (certificate.has_value()) last_q = std::max(q, certificate->from_q - 1);
+    }
   }
-  result.bounded = false;
-  result.reason = util::cat("no maximal busy window within ", options.max_busy_windows,
-                            " activations (K_b search cap)");
-  return result;
+  if (certificate.has_value()) {
+    return unbounded(util::cat("busy window never closes: charged long-run load ",
+                               wide_string(certificate->load_num), "/",
+                               wide_string(certificate->load_den), " > 1"));
+  }
+  return unbounded(util::cat("no maximal busy window within ", options.max_busy_windows,
+                             " activations (K_b search cap)"));
 }
 
 }  // namespace

@@ -23,6 +23,8 @@ namespace wharf {
 /// Knobs shared by latency and TWCA analyses.
 struct AnalysisOptions {
   /// Cap on the K_b search (number of busy-window positions explored).
+  /// A search whose charged long-run load provably exceeds 1 stops
+  /// earlier (see LatencyResult::reason).
   Count max_busy_windows = 1'000'000;
   /// Cap on Kleene iterations per fixed point.
   int max_fixed_point_iterations = 1'000'000;
@@ -37,13 +39,21 @@ struct AnalysisOptions {
 /// Result of the latency analysis of one chain.
 struct LatencyResult {
   /// False when the busy window diverges (e.g. utilization >= 1) or a cap
-  /// was hit; all other fields are then meaningless except `reason`.
+  /// was hit; every other field then keeps its default (K and wcl 0,
+  /// busy_times empty) except `reason`.
   bool bounded = false;
-  /// Human-readable explanation when !bounded.
+  /// Human-readable cause when !bounded, one of:
+  ///  * "busy-time fixed point diverged at q=<q> (...)" — B_b(q) itself
+  ///    is unbounded or past the divergence guard;
+  ///  * "busy window never closes: charged long-run load <N>/<P> > 1" —
+  ///    the load Eq. (1) charges in the long run (a reduced fraction)
+  ///    proves that no q closes the window;
+  ///  * "no maximal busy window within <cap> activations (K_b search
+  ///    cap)" — no proof either way within max_busy_windows.
   std::string reason;
   /// K_b: number of activations fitting one maximal busy window (Thm 2).
   Count K = 0;
-  /// B_b(1..K); busy_times[q-1] is B_b(q).
+  /// B_b(1..K); busy_times[q-1] is B_b(q).  Empty when !bounded.
   std::vector<Time> busy_times;
   /// Worst-case latency WCL_b = max_q B_b(q) - delta_minus(q).
   Time wcl = 0;
@@ -145,7 +155,10 @@ struct BusyTimeTerm {
 /// verbatim as the bit-identity oracle for the data-oriented kernel:
 /// bench/core_solver.cpp and the property tests gate the flat path
 /// against these on every run.  Virtual-dispatch per eta/delta call —
-/// correct but slow; not for production use.
+/// correct but slow; not for production use.  It always searches to the
+/// K_b cap (no divergence certificate), and its unbounded results keep
+/// the busy times computed on the way, so only their classification is
+/// comparable with the kernel's.
 namespace reference {
 
 /// Pre-flattening Theorem 1 fixed point (see the namespace comment).

@@ -4,8 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "core/arrival.hpp"
 #include "core/busy_window.hpp"
 #include "core/case_studies.hpp"
+#include "tests/support/saturated_system.hpp"
 #include "util/expect.hpp"
 
 namespace wharf {
@@ -298,6 +303,114 @@ TEST(BusyWindow, ExactlyFullUtilizationHandled) {
   // delta(q+1)); the analysis is bounded with K at the cap or earlier.
   ASSERT_TRUE(r.bounded);
   EXPECT_EQ(r.wcl, 10);
+  // Load exactly 1 gives the divergence certificate nothing to prove.
+  const LatencyResult ref = reference::latency_analysis(sys, 1, options);
+  EXPECT_EQ(r.K, ref.K);
+  EXPECT_EQ(r.wcl, ref.wcl);
+}
+
+// ---------------------------------------------------------------------------
+// Divergence certificate of the K_b search
+// ---------------------------------------------------------------------------
+
+TEST(DivergenceCertificate, SweepFixtureIsUnboundedWithItsLoadNamed) {
+  // 33300/100000 + 36640/110000 + 39960/120000 + 3000/2500000
+  //   = 165048000/165000000 = 6877/6875 > 1.
+  const System sys = testsupport::saturated_system();
+  const LatencyResult r = latency_analysis(sys, 0);
+  EXPECT_FALSE(r.bounded);
+  EXPECT_EQ(r.reason, "busy window never closes: charged long-run load 6877/6875 > 1");
+  EXPECT_TRUE(r.busy_times.empty());
+  EXPECT_EQ(r.K, 0);
+  EXPECT_EQ(r.wcl, 0);
+
+  // The capped reference agrees (at a cap it can reach quickly), and the
+  // overload-free analysis, whose load is below 1, stays bounded and
+  // identical to it.
+  AnalysisOptions options;
+  options.max_busy_windows = 20'000;
+  EXPECT_FALSE(reference::latency_analysis(sys, 0, options).bounded);
+  const LatencyResult typical = latency_analysis(sys, 0, options, sys.overload_indices());
+  const LatencyResult ref_typical =
+      reference::latency_analysis(sys, 0, options, sys.overload_indices());
+  ASSERT_TRUE(typical.bounded);
+  EXPECT_EQ(typical.K, ref_typical.K);
+  EXPECT_EQ(typical.busy_times, ref_typical.busy_times);
+  EXPECT_EQ(typical.wcl, ref_typical.wcl);
+}
+
+/// A lowest-priority chain `x` (cost 3, arrival `x_arrival` of period 10)
+/// under a higher-priority chain `y` (cost 9, period 10): charged load 1.2.
+System overloaded_pair(ArrivalModelPtr x_arrival) {
+  Chain::Spec x;
+  x.name = "x";
+  x.arrival = std::move(x_arrival);
+  x.tasks = {Task{"x1", 1, 3}};
+  Chain::Spec y;
+  y.name = "y";
+  y.arrival = periodic(10);
+  y.tasks = {Task{"y1", 2, 9}};
+  return System("pair", {Chain(std::move(x)), Chain(std::move(y))});
+}
+
+TEST(DivergenceCertificate, WindowClosingPastTheCheckpointStaysBounded) {
+  // Load 10/8 > 1, but 70 activations arrive at once and the 71st only
+  // at 10^6: the window cannot close before q = 70 and closes there.
+  // The certificate, asked at q = 64, must place its first certified
+  // activation past 70 (here at 499721) and let the search find K = 70.
+  std::vector<Time> prefix(69, 0);
+  prefix.push_back(1'000'000);
+  Chain::Spec s;
+  s.name = "burst";
+  s.arrival = delta_curve(std::move(prefix), 8);
+  s.tasks = {Task{"t", 1, 10}};
+  const System sys("burst", {Chain(std::move(s))});
+  const LatencyResult r = latency_analysis(sys, 0);
+  const LatencyResult ref = reference::latency_analysis(sys, 0);
+  ASSERT_TRUE(r.bounded) << r.reason;
+  EXPECT_EQ(r.K, 70);
+  EXPECT_EQ(r.wcl, 700);
+  EXPECT_EQ(r.K, ref.K);
+  EXPECT_EQ(r.busy_times, ref.busy_times);
+  EXPECT_EQ(r.wcl, ref.wcl);
+}
+
+TEST(DivergenceCertificate, CurveWithoutFlatTableFallsBackToTheCap) {
+  // A jitter/slack ratio this large makes the dense prefix too long to
+  // materialize, so the analyzed chain has no flat table to bound.
+  const System sys = overloaded_pair(periodic_jitter(10, 50'000, 9));
+  AnalysisOptions options;
+  options.max_busy_windows = 200;
+  const LatencyResult r = latency_analysis(sys, 0, options);
+  EXPECT_FALSE(r.bounded);
+  EXPECT_EQ(r.reason, "no maximal busy window within 200 activations (K_b search cap)");
+  EXPECT_TRUE(r.busy_times.empty());
+
+  // The same load with a flat curve is certified.
+  EXPECT_EQ(latency_analysis(overloaded_pair(periodic(10)), 0, options).reason,
+            "busy window never closes: charged long-run load 6/5 > 1");
+}
+
+TEST(DivergenceCertificate, OverflowingCommonDenominatorFallsBackToTheCap) {
+  // Five nearly coprime periods around 1e9: the least common multiple of
+  // the spans is far beyond 128 bits, so the exact load cannot be formed.
+  std::vector<Chain> chains;
+  for (int i = 0; i < 5; ++i) {
+    Chain::Spec spec;
+    spec.name = "c" + std::to_string(i);
+    const Time period = 1'000'000'001 + i;
+    spec.arrival = periodic(period);
+    const Time wcet = i == 0 ? 300'000'000 : 200'000'000;
+    spec.tasks = {Task{"t" + std::to_string(i), Priority(1 + i), wcet}};
+    chains.emplace_back(std::move(spec));
+  }
+  const System sys("coprime", std::move(chains));
+  AnalysisOptions options;
+  options.max_busy_windows = 200;
+  const LatencyResult r = latency_analysis(sys, 0, options);
+  EXPECT_FALSE(r.bounded);
+  EXPECT_EQ(r.reason, "no maximal busy window within 200 activations (K_b search cap)");
+  EXPECT_FALSE(reference::latency_analysis(sys, 0, options).bounded);
 }
 
 TEST(BusyWindow, SingleChainAloneIsItsOwnWcet) {
@@ -351,8 +464,10 @@ TEST(BusyWindow, AsynchronousSelfInterference) {
   AnalysisOptions options;
   options.max_busy_windows = 100000;
   const LatencyResult r = latency_analysis(sys, 0, options);
-  // Utilization 1.2 > 1: diverges.
+  // Utilization 1.2 > 1: diverges, and the certificate says why.
   EXPECT_FALSE(r.bounded);
+  EXPECT_EQ(r.reason, "busy window never closes: charged long-run load 6/5 > 1");
+  EXPECT_TRUE(r.busy_times.empty());
 }
 
 TEST(BusyWindow, AsynchronousSelfInterferenceBounded) {

@@ -412,11 +412,28 @@ TEST(DistFaults, ErrorEnvelopeDisqualifiesTheWorkerWithoutRestart) {
     return R"({"type":"evaluate","session":"sweep","status":"invalid-argument",)"
            R"("reason":"scripted evaluation fault"})";
   });
+  // The partner answers truthfully, but only once the coordinator has
+  // dropped the faulty link: a free-running partner could steal the
+  // faulty worker's units and finish the sweep before the first error
+  // envelope was ever read, which the scheduler is allowed to do.  One
+  // give-up deadline for the whole sweep (not renewed per line) means
+  // a coordinator that never disqualifies fails the assertions below
+  // instead of hanging.
+  search::PipelineEvaluator evaluator(system, espec);
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  FakeWorker gated([&evaluator, &faulty, give_up](const std::string& line) {
+    if (is_open_request(line)) return open_ack();
+    while (faulty.ended_connections() == 0 && std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return evaluate_ok(evaluator, line);
+  });
 
   SweepOptions sweep;
   sweep.k = 5;
   sweep.unit_size = 1;
-  const std::vector<WorkerSpec> workers = {connect_spec(faulty.port()), spawn_spec()};
+  const std::vector<WorkerSpec> workers = {connect_spec(faulty.port()),
+                                           connect_spec(gated.port())};
   const Expected<SweepOutcome> outcome = run_sweep(system, {}, candidates, workers, sweep);
   ASSERT_TRUE(outcome) << outcome.status().to_string();
   expect_identical(outcome.value(), nominal, oracle);

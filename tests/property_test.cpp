@@ -5,7 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cmath>
+#include <random>
+#include <string>
+#include <thread>
+#include <vector>
 
+#include "core/arrival.hpp"
+#include "core/busy_window.hpp"
 #include "core/case_studies.hpp"
 #include "core/twca.hpp"
 #include "engine/engine.hpp"
@@ -417,6 +425,167 @@ TEST_P(ShuffledCaseStudy, SimulationRespectsAnalysisBounds) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ShuffledCaseStudy, ::testing::Range(0, 12));
+
+// ---------------------------------------------------------------------------
+// K_b search near saturation: the divergence certificate that stops the
+// search early must classify exactly like the capped reference search.
+// ---------------------------------------------------------------------------
+
+/// An arrival model of a random family whose long-run rate is one
+/// activation per `period`.
+ArrivalModelPtr random_family(Time period, std::mt19937_64& rng) {
+  const auto draw = [&rng](Time lo, Time hi) {
+    return std::uniform_int_distribution<Time>(lo, hi)(rng);
+  };
+  switch (std::uniform_int_distribution<int>(0, 4)(rng)) {
+    case 0:
+      return periodic(period);
+    case 1:
+      return periodic_jitter(period, draw(0, 2 * period), draw(1, period));
+    case 2:
+      return sporadic(period);
+    case 3: {
+      std::vector<Time> prefix;
+      Time d = draw(0, period / 2);
+      for (Time i = draw(1, 4); i > 0; --i) {
+        prefix.push_back(d);
+        d += draw(0, period / 2);
+      }
+      return delta_curve(std::move(prefix), period);
+    }
+    default: {
+      const Count burst = draw(2, 3);
+      return sporadic_burst(burst * period, burst, draw(1, period / burst));
+    }
+  }
+}
+
+/// Two to four regular chains of every arrival family (some
+/// asynchronous) at total utilization in [0.97, 1.03], plus one rare
+/// overload chain, under random priorities.
+System near_saturation_system(std::mt19937_64& rng, int index) {
+  const auto draw = [&rng](int lo, int hi) {
+    return std::uniform_int_distribution<int>(lo, hi)(rng);
+  };
+  const int regular = draw(2, 4);
+  const double utilization = std::uniform_real_distribution<double>(0.97, 1.03)(rng);
+  const std::vector<double> shares = gen::uunifast(regular, utilization, rng);
+  const Time periods[] = {200, 300, 400, 500, 800, 1000};
+  std::vector<Chain::Spec> specs;
+  for (int c = 0; c < regular; ++c) {
+    Chain::Spec s;
+    s.name = "chain" + std::to_string(c);
+    s.kind = draw(0, 9) < 3 ? ChainKind::kAsynchronous : ChainKind::kSynchronous;
+    const Time period = periods[draw(0, 5)];
+    s.arrival = random_family(period, rng);
+    s.deadline = period;
+    const int tasks = draw(1, 3);
+    Time budget = std::max<Time>(
+        tasks, std::llround(shares[static_cast<std::size_t>(c)] * static_cast<double>(period)));
+    for (int t = 0; t < tasks; ++t) {
+      const Time rest = tasks - t - 1;  // tasks still to fill, one tick at least
+      const Time wcet = rest == 0 ? budget
+                                  : std::clamp<Time>(budget / (rest + 1) + draw(-2, 2), 1,
+                                                     budget - rest);
+      budget -= wcet;
+      s.tasks.push_back(Task{"c" + std::to_string(c) + "t" + std::to_string(t), 0, wcet});
+    }
+    specs.push_back(std::move(s));
+  }
+  Chain::Spec overload;
+  overload.name = "overload";
+  overload.arrival = sporadic(5'000);
+  overload.overload = true;
+  overload.tasks = {Task{"o", 0, draw(1, 30)}};
+  specs.push_back(std::move(overload));
+
+  int task_count = 0;
+  for (const Chain::Spec& s : specs) task_count += static_cast<int>(s.tasks.size());
+  const std::vector<Priority> priorities = gen::shuffled_priorities(task_count, rng);
+  std::size_t next = 0;
+  std::vector<Chain> chains;
+  for (Chain::Spec& s : specs) {
+    for (Task& t : s.tasks) t.priority = priorities[next++];
+    chains.emplace_back(std::move(s));
+  }
+  return System("near" + std::to_string(index), std::move(chains));
+}
+
+/// One latency analysis of the differential, through both paths.
+struct Differential {
+  std::string where;
+  LatencyResult flat;
+  LatencyResult ref;
+};
+
+/// System `index` of the differential, analyzed at cap 20'000 for one
+/// random (target, full or overload-free) pair per naive_arbitrary value:
+/// a capped reference search costs tens of milliseconds.
+std::vector<Differential> near_saturation_differential(int index) {
+  std::mt19937_64 rng(4242 + static_cast<std::uint64_t>(index));
+  const System sys = near_saturation_system(rng, index);
+  const std::vector<int> targets = sys.regular_indices();
+  std::vector<Differential> out;
+  for (const bool naive : {false, true}) {
+    AnalysisOptions options;
+    options.max_busy_windows = 20'000;
+    options.naive_arbitrary = naive;
+    const int target =
+        targets[std::uniform_int_distribution<std::size_t>(0, targets.size() - 1)(rng)];
+    const bool overload_free = std::bernoulli_distribution(0.5)(rng);
+    const std::vector<int> exclude = overload_free ? sys.overload_indices() : std::vector<int>{};
+    std::string where = io::serialize_system(sys) + "target " + std::to_string(target);
+    where += naive ? " naive" : "";
+    where += overload_free ? " overload-free" : "";
+    out.push_back(Differential{std::move(where), latency_analysis(sys, target, options, exclude),
+                               reference::latency_analysis(sys, target, options, exclude)});
+  }
+  return out;
+}
+
+TEST(KbSearchNearSaturation, ClassificationMatchesTheCappedReference) {
+  constexpr int kSystems = 200;
+  constexpr int kThreads = 4;
+  std::vector<std::vector<Differential>> runs(kSystems);
+  {
+    std::atomic<int> next{0};
+    std::vector<std::thread> workers;
+    for (int w = 0; w < kThreads; ++w) {
+      workers.emplace_back([&runs, &next] {
+        for (int i = next++; i < kSystems; i = next++) {
+          runs[static_cast<std::size_t>(i)] = near_saturation_differential(i);
+        }
+      });
+    }
+    for (std::thread& worker : workers) worker.join();
+  }
+
+  int bounded = 0;
+  int certified = 0;
+  for (const std::vector<Differential>& run : runs) {
+    for (const Differential& d : run) {
+      SCOPED_TRACE(d.where);
+      ASSERT_EQ(d.flat.bounded, d.ref.bounded) << d.flat.reason << " | " << d.ref.reason;
+      if (d.flat.bounded) {
+        ++bounded;
+        EXPECT_EQ(d.flat.reason, d.ref.reason);
+        EXPECT_EQ(d.flat.K, d.ref.K);
+        EXPECT_EQ(d.flat.busy_times, d.ref.busy_times);
+        EXPECT_EQ(d.flat.wcl, d.ref.wcl);
+        EXPECT_EQ(d.flat.worst_q, d.ref.worst_q);
+        EXPECT_EQ(d.flat.misses_per_window, d.ref.misses_per_window);
+        EXPECT_EQ(d.flat.schedulable, d.ref.schedulable);
+      } else {
+        EXPECT_TRUE(d.flat.busy_times.empty());
+        if (d.flat.reason.rfind("busy window never closes", 0) == 0) ++certified;
+      }
+    }
+  }
+  // Both sides of the line must be well represented, or the battery
+  // proves nothing about the certificate.
+  EXPECT_GE(bounded, 100);
+  EXPECT_GE(certified, 100);
+}
 
 }  // namespace
 }  // namespace wharf
