@@ -10,8 +10,8 @@
 ///  * `delta_plus(q)`  — maximum such distance (δ⁺); `kTimeInfinity` for
 ///    sporadic models.
 ///
-/// Convention (calibrated against the paper's own case-study numbers, see
-/// DESIGN.md §2):   eta_plus(dt) = max{ q >= 0 | delta_minus(q) < dt },
+/// Convention (calibrated against the paper's own case-study numbers):
+///   eta_plus(dt) = max{ q >= 0 | delta_minus(q) < dt },
 /// with delta_minus(1) = 0.  For a periodic model with period P this gives
 /// eta_plus(dt) = ceil(dt / P).
 

@@ -28,7 +28,7 @@ Chain::Chain(Spec spec)
   WHARF_EXPECT(!overload_ || kind_ == ChainKind::kSynchronous,
                "overload chain '" << name_
                                   << "' must be synchronous (the paper treats overload chains "
-                                     "as synchronous WLOG; see DESIGN.md)");
+                                     "as synchronous WLOG)");
 
   std::unordered_set<std::string> names;
   for (const Task& t : tasks_) {

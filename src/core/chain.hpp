@@ -43,7 +43,7 @@ class Chain {
   /// Validates and builds.  Requirements: non-empty name; at least one
   /// task; an arrival model; task names unique and non-empty; WCETs >= 0;
   /// deadline >= 1 when present; overload chains must be synchronous
-  /// (the paper treats them as such WLOG — see DESIGN.md §2).
+  /// (the paper treats them as such WLOG).
   explicit Chain(Spec spec);
 
   [[nodiscard]] const std::string& name() const { return name_; }

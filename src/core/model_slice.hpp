@@ -1,6 +1,6 @@
 /// \file model_slice.hpp
-/// Canonical content encodings of the model slices each analysis stage
-/// reads — the substrate of artifact-granular caching.
+/// Structural 128-bit artifact keys: what each analysis stage reads of
+/// the system model, digested into one fixed-width key per stage.
 ///
 /// The TWCA pipeline is staged: interference/segment structure (Defs
 /// 2–5) → busy windows (Thm 1/2) → overload structures + unschedulable
@@ -14,19 +14,30 @@
 ///    (Eq. 1 never looks at σ_a's raw priorities, only at comparisons
 ///    against σ_b's minimum priority);
 ///  * the overload structure additionally reads the active segments of
-///    overload chains w.r.t. σ_b;
+///    overload chains w.r.t. σ_b (which compare against σ_b's minimum
+///    *and* tail priority);
 ///  * the packing ILP reads nothing but capacities and item-resource
 ///    incidence.
 ///
-/// The functions here serialize exactly those read sets into canonical
-/// strings.  Two systems with equal slices provably yield bit-identical
-/// stage results, so the strings are sound cache keys: tweaking one
-/// chain's priority invalidates only the targets whose slices actually
-/// change (typically the mutated chain itself), not the whole system.
+/// A ModelDigests table holds one digest per chain (its full content)
+/// and per (interferer, target) pair (interference, busy-interference
+/// and overload slices).  Stage keys digest the target's content digest
+/// together with the pair digests the stage reads, so two systems with
+/// equal slices get equal keys, and tweaking one chain's priority
+/// re-keys only the targets whose slices actually change.  A priority
+/// delta re-derives the table from its parent, recomputing O(moved
+/// chains × m) digests at most; nothing grows with the number of
+/// systems keyed.
 ///
-/// Caveat (shared with io::serialize_system): arrival models are encoded
-/// via ArrivalModel::describe(), which is a faithful content encoding
-/// for every library model but relies on user-defined models describing
+/// Every digest is SipHash-2-4-128 over length-prefixed, typed fields —
+/// exactly the fields the canonical textual slice encodings carry (the
+/// oracle the property suite audits the digests against), so equal
+/// keys mean equal read sets up to a 2^-128-scale collision chance, and
+/// keys are the same on every platform (they are persisted).
+///
+/// Caveat (shared with io::serialize_system): arrival models enter via
+/// ArrivalModel::describe(), which is a faithful content encoding for
+/// every library model but relies on user-defined models describing
 /// themselves uniquely.
 
 #ifndef WHARF_CORE_MODEL_SLICE_HPP
@@ -34,211 +45,224 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
+#include <ostream>
 #include <string>
 #include <string_view>
-#include <unordered_map>
+#include <type_traits>
+#include <vector>
 
 #include "core/system.hpp"
 #include "core/twca.hpp"
-#include "util/mutex.hpp"
-#include "util/thread_annotations.hpp"
 
 namespace wharf {
 
-/// Append-only intern table mapping key *fragments* (the slice strings
-/// the key builders below compose) to dense 32-bit ids.  With an
-/// interner, a cache key is a flat sequence of 4-byte little-endian ids
-/// instead of the concatenated fragment text — typically 10-30x shorter,
-/// which shrinks store memory, key-hash cost on the in-memory lookup
-/// path, and the persistent snapshot (store_persist.hpp serializes keys
-/// as file-local ids plus one shared fragment table).
-///
-/// Ids are assigned in first-intern order and never change or disappear,
-/// so a key built earlier in the process compares byte-equal to the same
-/// key built later — the store-key soundness argument of the textual
-/// builders carries over verbatim (equal fragment sequences ⇔ equal id
-/// sequences).  Thread-safe; `fragment()` references are stable for the
-/// interner's lifetime.
-class KeyInterner {
- public:
-  /// Bytes one encoded id occupies inside a key string.
-  static constexpr std::size_t kIdBytes = 4;
+/// A fixed-width 128-bit artifact key (one SipHash-2-4-128 digest).
+struct ArtifactKey {
+  std::uint64_t lo = 0;  ///< first 8 digest bytes, little-endian
+  std::uint64_t hi = 0;  ///< last 8 digest bytes, little-endian
 
-  /// Id of `piece`, interning it first if unseen.
-  [[nodiscard]] std::uint32_t intern(std::string_view piece);
+  ArtifactKey() = default;
+  /// Wraps two raw digest words.
+  constexpr ArtifactKey(std::uint64_t lo_word, std::uint64_t hi_word) : lo(lo_word), hi(hi_word) {}
 
-  /// The fragment text behind `id` (stable reference).  Throws
-  /// std::out_of_range for ids never handed out.
-  [[nodiscard]] const std::string& fragment(std::uint32_t id) const;
+  /// Implicit from text: an artifact named by a free-form string is
+  /// keyed by the digest of that string (of_text()).
+  template <typename Text,
+            typename = std::enable_if_t<std::is_convertible_v<const Text&, std::string_view>>>
+  ArtifactKey(const Text& text)  // NOLINT(google-explicit-constructor)
+      : ArtifactKey(of_text(text)) {}
 
-  /// Number of distinct fragments interned so far (ids are 0..size-1).
-  [[nodiscard]] std::size_t size() const;
+  /// Digest of a text-named key (a typed, length-prefixed field, so it
+  /// never equals a structural stage key's digest by construction).
+  [[nodiscard]] static ArtifactKey of_text(std::string_view text);
 
-  /// Appends `id` to `out` as 4 little-endian bytes.
-  static void append_id(std::string& out, std::uint32_t id);
+  /// The 16 digest bytes as 32 lowercase hex digits.
+  [[nodiscard]] std::string to_hex() const;
 
-  /// Decodes one 4-byte little-endian id starting at `bytes`.
-  [[nodiscard]] static std::uint32_t read_id(const char* bytes);
-
- private:
-  mutable util::Mutex mutex_;
-  // deque: stable element addresses under append, so fragment() refs and
-  // the string_view map keys survive growth.
-  std::deque<std::string> fragments_ WHARF_GUARDED_BY(mutex_);
-  std::unordered_map<std::string_view, std::uint32_t> index_ WHARF_GUARDED_BY(mutex_);
-};
-
-/// Cross-candidate memo of serialized per-chain slice strings — the
-/// floor of the warm design-space path on µs-cheap systems is key
-/// serialization, and most of a key is per-chain slices that a priority
-/// delta does not touch.
-///
-/// Entries are keyed by the *per-chain priority sub-vector* (plus, for
-/// pairwise slices, the target's minimum priority — the only thing a
-/// slice reads about the target's priorities): two candidate systems
-/// whose chain `a` carries the same priorities produce byte-identical
-/// slices of `a`, so a delta (or a pairwise-swap neighborhood) that
-/// leaves a chain's sub-vector untouched reuses its serialized slice
-/// instead of re-walking the segment structure.
-///
-/// Soundness contract: every System used against one cache (between
-/// invalidate() calls) must agree on all *structural* content — chain
-/// count and order, names, kinds, arrival models, WCETs, deadlines,
-/// overload flags — and differ at most in task priorities.  Priority
-/// deltas need no invalidation (the sub-vector is in the key); a
-/// structural delta must call invalidate() first — or, when other
-/// holders may still key the old structure against the shared cache,
-/// detach by replacing it with a fresh one (what wharf::Session does,
-/// so live speculative sessions keep a consistent old-structure memo).
-/// search::PipelineEvaluator satisfies the contract by construction
-/// (candidates are priority permutations of one base).
-///
-/// Thread-safe; returned references are stable until invalidate().
-class SliceCache {
- public:
-  struct Stats {
-    std::size_t hits = 0;    ///< slices served from the memo
-    std::size_t misses = 0;  ///< slices serialized afresh
+  /// Hash functor for unordered containers (the digest is uniform, so
+  /// one word is already a good bucket hash).
+  struct Hash {
+    /// Bucket hash of `key`.
+    std::size_t operator()(const ArtifactKey& key) const noexcept {
+      return static_cast<std::size_t>(key.lo ^ (key.hi >> 1));
+    }
   };
 
-  /// Drops every entry (call before keying a structurally changed
-  /// system).  Must not race with concurrent slice accessors.
-  void invalidate();
-
-  [[nodiscard]] Stats stats() const;
-
-  /// Memoized equivalents of the free slice functions below (byte-
-  /// identical output, so cached and uncached key builds collide on the
-  /// same store artifacts).
-  [[nodiscard]] const std::string& chain_content(const System& system, int chain);
-  [[nodiscard]] const std::string& interference_slice(const System& system, int a, int b);
-  [[nodiscard]] const std::string& busy_interference_slice(const System& system, int a, int b);
-  [[nodiscard]] const std::string& overload_slice(const System& system, int a, int b);
-
- private:
-  enum class Kind : char {
-    kContent = 'c',
-    kInterference = 'i',
-    kBusyInterference = 'b',
-    kOverload = 'o',
-  };
-
-  const std::string& acquire(Kind kind, const System& system, int a, int b);
-
-  mutable util::Mutex mutex_;
-  std::unordered_map<std::string, std::string> entries_ WHARF_GUARDED_BY(mutex_);
-  Stats stats_ WHARF_GUARDED_BY(mutex_);
+  /// Keys are equal iff both digest words are.
+  friend bool operator==(const ArtifactKey&, const ArtifactKey&) = default;
 };
 
-/// Full canonical encoding of one chain (name, kind, arrival curve,
-/// deadline, overload flag, per-task priorities and WCETs).  This is the
-/// target side of every per-target slice.
-[[nodiscard]] std::string chain_content(const Chain& chain);
+/// Prints the key's hex digest (diagnostics and test failure messages).
+std::ostream& operator<<(std::ostream& os, const ArtifactKey& key);
 
-/// What the interference-context stage (Defs 2–5) reads about chain `a`
-/// w.r.t. target `b`: per-task WCETs plus the comparison of each task's
-/// priority against b's minimum priority (priorities are globally
-/// unique, so one boolean per task captures every comparison Defs 2–5
-/// make).
-[[nodiscard]] std::string interference_slice(const Chain& a, const Chain& b);
+/// Streaming SipHash-2-4-128 under a fixed public key (bytes 0x00..0x0f,
+/// the reference key — keys are content addresses, not MACs).  Field
+/// appenders write fixed-width little-endian words; text is
+/// length-prefixed and zero-padded to a word boundary, so a sequence of
+/// typed fields is never ambiguous.
+class KeyHasher {
+ public:
+  /// Starts an empty digest.
+  KeyHasher();
 
-/// What the busy-window fixed point (Eq. 1/3/4) reads about interferer
-/// `a` w.r.t. target `b`: arrival curve, total WCET, kind, and — when
-/// `a` is deferred — the derived header/segment/critical costs.  Raw
-/// priorities never appear: an interferer whose derived summary is
-/// unchanged cannot change the fixed point.
-[[nodiscard]] std::string busy_interference_slice(const Chain& a, const Chain& b);
+  /// Appends an unsigned 64-bit field.
+  KeyHasher& u64(std::uint64_t value) {
+    if (tail_bytes_ != 0) return unaligned_u64(value);
+    compress(value);
+    length_ += 8;
+    return *this;
+  }
+  /// Appends a signed 64-bit field.
+  KeyHasher& i64(std::int64_t value) { return u64(static_cast<std::uint64_t>(value)); }
+  /// Appends a boolean field (one word).
+  KeyHasher& flag(bool value) { return u64(value ? 1 : 0); }
+  /// Appends a length-prefixed text field.
+  KeyHasher& text(std::string_view value);
+  /// Appends a nested digest (two words).
+  KeyHasher& key(const ArtifactKey& value) { return u64(value.lo).u64(value.hi); }
+  /// Appends raw bytes with no framing (callers frame them; the
+  /// reference test vectors hash raw messages).
+  KeyHasher& bytes(const void* data, std::size_t size);
 
-/// What the overload-structure/combination stage (Defs 8/9) reads about
-/// overload chain `a` w.r.t. target `b`: the arrival curve (Lemma 4's
-/// Ω term) and the active segments (parent segment and cost each).
-[[nodiscard]] std::string overload_slice(const Chain& a, const Chain& b);
+  /// The 128-bit digest of everything appended so far.
+  [[nodiscard]] ArtifactKey finish() const;
 
-/// Canonical encoding of the analysis knobs that change busy-window
-/// results (caps, divergence guard, naive-arbitrary ablation).
-[[nodiscard]] std::string analysis_options_slice(const AnalysisOptions& options);
+ private:
+  void compress(std::uint64_t word);
+  KeyHasher& unaligned_u64(std::uint64_t value);
 
-/// Canonical encoding of the TWCA knobs that change k-independent
-/// combination artifacts (criterion, enumeration cap, minimality).
-[[nodiscard]] std::string combination_options_slice(const TwcaOptions& options);
+  std::uint64_t v0_;
+  std::uint64_t v1_;
+  std::uint64_t v2_;
+  std::uint64_t v3_;
+  std::uint64_t tail_ = 0;       ///< pending bytes of a partial word
+  unsigned tail_bytes_ = 0;      ///< how many bytes `tail_` holds
+  std::uint64_t length_ = 0;     ///< total bytes appended
+};
 
-/// Cache key of the interference context of `target`.  Pins the target
-/// and interferer *positions* in addition to their content: the cached
-/// context embeds absolute chain indices that consumers dereference
-/// against the current system.  A non-null `slices` memoizes the
-/// per-chain parts (byte-identical output).  A non-null `interner`
-/// switches the key to the compact interned-id encoding: the same
-/// fragment decomposition, one 4-byte little-endian id per fragment (a
-/// store must be keyed consistently with or without an interner — the
-/// two encodings are distinct key spaces).
-[[nodiscard]] std::string interference_key(const System& system, int target,
-                                           SliceCache* slices = nullptr,
-                                           KeyInterner* interner = nullptr);
+/// How a digest table was produced: digests carried over from a parent
+/// table (hits) versus computed from the model (misses).
+struct DigestStats {
+  std::size_t hits = 0;    ///< digests reused from the parent table
+  std::size_t misses = 0;  ///< digests computed afresh
+};
 
-/// Cache key of the busy-window/latency stage of `target`.  When
+/// Immutable per-model digest table: a content digest per chain plus
+/// interference, busy-interference and overload pair digests per
+/// (interferer a, target b), a != b (overload digests only for overload
+/// interferers).  Tables are tied to the System they were built or
+/// derived for; callers pass that same system to the key builders.
+class ModelDigests {
+ public:
+  /// Full build: every digest computed from `system` (all misses).
+  explicit ModelDigests(const System& system);
+
+  /// The table of `child`, derived from this table of `parent`: `child`
+  /// must equal `parent` except for task priorities (same chains in the
+  /// same order, same structure).  Recomputes the content digests of
+  /// chains whose priorities moved, and a pair's digests only where one
+  /// of the comparisons the slice reads flipped: interferer task vs.
+  /// target minimum priority (all three pair kinds) or vs. target tail
+  /// priority (overload pairs).  Only pairs whose interferer or target
+  /// moved can flip, so the cost is O(moved chains × m) digests;
+  /// everything else is carried over (and counted as hits).
+  [[nodiscard]] ModelDigests derive_priorities(const System& parent, const System& child) const;
+
+  /// Copy with `chain`'s content digest recomputed from `system`, which
+  /// must differ from this table's model at most in that chain's
+  /// deadline (deadlines are read by the content digest only).
+  [[nodiscard]] ModelDigests with_content(const System& system, int chain) const;
+
+  /// Number of chains covered.
+  [[nodiscard]] int size() const { return chains_; }
+  /// Full content digest of `chain`.
+  [[nodiscard]] const ArtifactKey& content(int chain) const {
+    return digests_[m() + static_cast<std::size_t>(chain)];
+  }
+  /// Interference-slice digest of interferer `a` w.r.t. target `b`.
+  [[nodiscard]] const ArtifactKey& interference(int a, int b) const {
+    return digests_[pair(kInterference, a, b)];
+  }
+  /// Busy-interference-slice digest of interferer `a` w.r.t. target `b`.
+  [[nodiscard]] const ArtifactKey& busy_interference(int a, int b) const {
+    return digests_[pair(kBusyInterference, a, b)];
+  }
+  /// Overload-slice digest of overload chain `a` w.r.t. target `b`.
+  [[nodiscard]] const ArtifactKey& overload(int a, int b) const {
+    return digests_[pair(kOverload, a, b)];
+  }
+
+  /// How this table was produced (build or derivation counts).
+  [[nodiscard]] const DigestStats& stats() const { return stats_; }
+
+ private:
+  enum PairKind : std::size_t { kInterference = 0, kBusyInterference = 1, kOverload = 2 };
+
+  ModelDigests() = default;
+
+  [[nodiscard]] std::size_t m() const { return static_cast<std::size_t>(chains_); }
+  [[nodiscard]] std::size_t pair(PairKind kind, int a, int b) const {
+    return 2 * m() + (kind * m() + static_cast<std::size_t>(a)) * m() +
+           static_cast<std::size_t>(b);
+  }
+  [[nodiscard]] const ArtifactKey& arrival(int chain) const {
+    return digests_[static_cast<std::size_t>(chain)];
+  }
+
+  int chains_ = 0;
+  /// One block: per-chain arrival-curve digests, per-chain content
+  /// digests, then the three m×m pair planes (diagonal unused; overload
+  /// rows only for overload chains).
+  std::vector<ArtifactKey> digests_;
+  DigestStats stats_;
+};
+
+/// Key of the interference context of `target` (Defs 2–5).  Pins the
+/// target and interferer *positions* in addition to their content: the
+/// cached context embeds absolute chain indices that consumers
+/// dereference against the current system.
+[[nodiscard]] ArtifactKey interference_key(const System& system, const ModelDigests& digests,
+                                           int target);
+
+/// Key of the busy-window/latency stage of `target`.  When
 /// `without_overload` is set, overload chains are excluded from the walk
 /// (the paper's "second analysis"), so their slices do not taint the key
-/// and overload-model changes cannot invalidate it.  A non-null `slices`
-/// memoizes the per-chain parts (byte-identical output); a non-null
-/// `interner` selects the compact interned-id encoding.
-[[nodiscard]] std::string busy_window_key(const System& system, int target,
-                                          const AnalysisOptions& options,
-                                          bool without_overload,
-                                          SliceCache* slices = nullptr,
-                                          KeyInterner* interner = nullptr);
+/// and overload-model changes cannot invalidate it.  Positions are not
+/// pinned: the latency result is pure data.
+[[nodiscard]] ArtifactKey busy_window_key(const System& system, const ModelDigests& digests,
+                                          int target, const AnalysisOptions& options,
+                                          bool without_overload);
 
-/// Cache key of the k-independent overload artifacts of `target` (slack,
-/// overload structure, unschedulable combinations, Thm 3 preconditions).
-/// Pins the target's and each overload chain's position (the cached
-/// OverloadStructure embeds absolute indices).
-[[nodiscard]] std::string overload_key(const System& system, int target,
+/// Key of the k-independent overload artifacts of `target` (slack,
+/// overload structure, unschedulable combinations, Thm 3
+/// preconditions).  `busy_window_part` must be
+/// busy_window_key(system, digests, target, options.analysis, false):
+/// the keys nest (dmm ⊃ overload ⊃ busy window).  Pins the target's and
+/// each overload chain's position (the cached artifacts embed absolute
+/// indices).
+[[nodiscard]] ArtifactKey overload_key(const System& system, const ModelDigests& digests,
+                                       int target, const TwcaOptions& options,
+                                       const ArtifactKey& busy_window_part);
+
+/// Key of one dmm(k) query result; `overload_part` must be the queried
+/// target's overload_key.
+[[nodiscard]] ArtifactKey dmm_key(Count k, const TwcaOptions& options,
+                                  const ArtifactKey& overload_part);
+
+/// One-shot interference_key over a freshly built table.
+[[nodiscard]] ArtifactKey interference_key(const System& system, int target);
+
+/// One-shot busy_window_key over a freshly built table.
+[[nodiscard]] ArtifactKey busy_window_key(const System& system, int target,
+                                          const AnalysisOptions& options, bool without_overload);
+
+/// One-shot overload_key over a freshly built table.
+[[nodiscard]] ArtifactKey overload_key(const System& system, int target,
                                        const TwcaOptions& options);
 
-/// Composing variant: `busy_window_part` must be
-/// busy_window_key(system, target, options.analysis, false).  The keys
-/// nest (dmm ⊃ overload ⊃ busy window), so callers that key several
-/// stages for one target — the Engine pipeline's per-request key cache —
-/// build the expensive shared part once instead of per stage.  A
-/// non-null `slices` memoizes the per-chain parts; a non-null `interner`
-/// selects the compact interned-id encoding (`busy_window_part` must
-/// then be interned too — it is embedded verbatim).
-[[nodiscard]] std::string overload_key(const System& system, int target,
-                                       const TwcaOptions& options,
-                                       const std::string& busy_window_part,
-                                       SliceCache* slices = nullptr,
-                                       KeyInterner* interner = nullptr);
-
-/// Cache key of one dmm(k) query result for `target`.
-[[nodiscard]] std::string dmm_key(const System& system, int target, Count k,
+/// One-shot dmm_key over a freshly built table.
+[[nodiscard]] ArtifactKey dmm_key(const System& system, int target, Count k,
                                   const TwcaOptions& options);
-
-/// Composing variant: `overload_part` must be
-/// overload_key(system, target, options) for the queried target, built
-/// with the same `interner` (or none).
-[[nodiscard]] std::string dmm_key(Count k, const TwcaOptions& options,
-                                  const std::string& overload_part,
-                                  KeyInterner* interner = nullptr);
 
 }  // namespace wharf
 

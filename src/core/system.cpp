@@ -24,7 +24,7 @@ System::System(std::string name, std::vector<Chain> chains)
       WHARF_EXPECT(inserted, "duplicate priority " << t.priority << " on tasks '" << it->second
                                                    << "' and '" << t.name
                                                    << "' (the paper assumes a total priority "
-                                                      "order; see DESIGN.md)");
+                                                      "order)");
     }
     task_count_ += chain.size();
     (chain.is_overload() ? overload_indices_ : regular_indices_).push_back(c);

@@ -6,15 +6,6 @@ namespace wharf {
 
 namespace {
 
-std::string tagged_key(ArtifactStage stage, const std::string& key) {
-  std::string tagged;
-  tagged.reserve(key.size() + 2);
-  tagged.push_back(static_cast<char>('0' + static_cast<int>(stage)));
-  tagged.push_back('|');
-  tagged.append(key);
-  return tagged;
-}
-
 std::size_t stage_index(ArtifactStage stage) {
   return static_cast<std::size_t>(static_cast<int>(stage));
 }
@@ -40,65 +31,60 @@ std::uint64_t ArtifactStore::begin_epoch() {
 }
 
 std::optional<ArtifactStore::Found> ArtifactStore::lookup(ArtifactStage stage,
-                                                          const std::string& key) {
-  const std::string tagged = tagged_key(stage, key);
+                                                          const ArtifactKey& key) {
   const util::MutexLock guard(mutex_);
-  const auto it = entries_.find(tagged);
+  const auto it = entries_.find(Slot{key, stage});
   if (it == entries_.end()) return std::nullopt;
   recency_.splice(recency_.begin(), recency_, it->second.lru);
   return Found{it->second.value, it->second.epoch};
 }
 
-void ArtifactStore::insert(ArtifactStage stage, const std::string& key,
+void ArtifactStore::insert(ArtifactStage stage, const ArtifactKey& key,
                            std::shared_ptr<const void> value, std::size_t weight,
                            std::uint8_t type_tag) {
-  std::string tagged = tagged_key(stage, key);
   const util::MutexLock guard(mutex_);
-  insert_locked(stage, std::move(tagged), std::move(value), weight, type_tag);
+  insert_locked(Slot{key, stage}, std::move(value), weight, type_tag);
 }
 
-void ArtifactStore::insert_locked(ArtifactStage stage, std::string tagged,
-                                  std::shared_ptr<const void> value, std::size_t weight,
-                                  std::uint8_t type_tag) {
+void ArtifactStore::insert_locked(const Slot& slot, std::shared_ptr<const void> value,
+                                  std::size_t weight, std::uint8_t type_tag) {
   mutex_.assert_held();
-  const std::size_t charged = weight + tagged.size();
-  StageStats& stats = stage_stats_[stage_index(stage)];
-  if (byte_budget_ > 0 && charged > byte_budget_) {
+  StageStats& stats = stage_stats_[stage_index(slot.stage)];
+  if (byte_budget_ > 0 && weight > byte_budget_) {
     ++stats.rejected;
     return;
   }
-  if (entries_.count(tagged) != 0) return;  // first insertion wins
+  if (entries_.count(slot) != 0) return;  // first insertion wins
 
-  recency_.push_front(std::move(tagged));
-  Entry entry{std::move(value), stage, type_tag, charged, epoch_, recency_.begin()};
-  entries_.emplace(recency_.front(), std::move(entry));
-  resident_bytes_ += charged;
+  recency_.push_front(slot);
+  entries_.emplace(slot, Entry{std::move(value), type_tag, weight, epoch_, recency_.begin()});
+  resident_bytes_ += weight;
   ++stats.insertions;
   ++stats.resident_entries;
-  stats.resident_bytes += charged;
+  stats.resident_bytes += weight;
   evict_to_budget_locked();
 }
 
-ArtifactStore::Resolved ArtifactStore::resolve(ArtifactStage stage, const std::string& key,
+ArtifactStore::Resolved ArtifactStore::resolve(ArtifactStage stage, const ArtifactKey& key,
                                                const Compute& compute, std::uint8_t type_tag) {
-  const std::string tagged = tagged_key(stage, key);
+  const Slot slot{key, stage};
   std::shared_ptr<Flight> flight;
   bool owner = false;
   {
     const util::MutexLock guard(mutex_);
-    const auto it = entries_.find(tagged);
+    const auto it = entries_.find(slot);
     if (it != entries_.end()) {
       recency_.splice(recency_.begin(), recency_, it->second.lru);
       return Resolved{it->second.value, it->second.epoch, ResolveSource::kResident, 0};
     }
-    std::shared_ptr<Flight>& slot = flights_[tagged];
-    if (!slot) {
-      slot = std::make_shared<Flight>();
+    std::shared_ptr<Flight>& open = flights_[slot];
+    if (!open) {
+      open = std::make_shared<Flight>();
       owner = true;
     } else {
       ++stage_stats_[stage_index(stage)].flights_shared;
     }
-    flight = slot;
+    flight = open;
   }
 
   if (!owner) {
@@ -117,7 +103,7 @@ ArtifactStore::Resolved ArtifactStore::resolve(ArtifactStage stage, const std::s
   } catch (...) {
     {
       const util::MutexLock guard(mutex_);
-      flights_.erase(tagged);
+      flights_.erase(slot);
     }
     {
       const util::MutexLock lock(flight->mutex);
@@ -135,8 +121,8 @@ ArtifactStore::Resolved ArtifactStore::resolve(ArtifactStage stage, const std::s
     // (resident) or, before this block, the open flight — never neither.
     const util::MutexLock guard(mutex_);
     inserted_epoch = epoch_;
-    insert_locked(stage, tagged, value, weight, type_tag);
-    flights_.erase(tagged);
+    insert_locked(slot, value, weight, type_tag);
+    flights_.erase(slot);
   }
   {
     const util::MutexLock lock(flight->mutex);
@@ -151,7 +137,7 @@ void ArtifactStore::evict_to_budget_locked() {
   mutex_.assert_held();
   while (byte_budget_ > 0 && resident_bytes_ > byte_budget_ && !recency_.empty()) {
     const auto victim = entries_.find(recency_.back());
-    StageStats& stats = stage_stats_[stage_index(victim->second.stage)];
+    StageStats& stats = stage_stats_[stage_index(recency_.back().stage)];
     resident_bytes_ -= victim->second.weight;
     stats.resident_bytes -= victim->second.weight;
     --stats.resident_entries;
@@ -181,16 +167,7 @@ std::vector<ArtifactStore::ExportedArtifact> ArtifactStore::export_artifacts() c
     const auto found = entries_.find(*it);
     if (found == entries_.end()) continue;
     const Entry& entry = found->second;
-    const std::string& tagged = found->first;
-    // Strip the "<stage>|" prefix and the key-size share of the charged
-    // weight (charged = artifact weight + tagged key bytes).
-    ExportedArtifact exported;
-    exported.stage = entry.stage;
-    exported.type_tag = entry.type_tag;
-    exported.key = tagged.substr(2);
-    exported.value = entry.value;
-    exported.weight = entry.weight >= tagged.size() ? entry.weight - tagged.size() : 0;
-    out.push_back(std::move(exported));
+    out.push_back(ExportedArtifact{it->stage, entry.type_tag, it->key, entry.value, entry.weight});
   }
   return out;
 }

@@ -5,11 +5,11 @@
 /// Where PR 1's engine cached one opaque analyzer per system, the store
 /// caches every pipeline stage separately — interference contexts, busy
 /// windows, overload artifacts, dmm(k) results, packing-ILP solutions —
-/// keyed by a canonical serialization of the model slice the stage
-/// actually reads (core/model_slice.hpp).  Two requests that differ in
-/// one chain's priority therefore share every artifact whose slice is
-/// unchanged: a design-space sweep recomputes only what the mutation
-/// touches.
+/// keyed by a 128-bit structural digest of the model slice the stage
+/// actually reads (ArtifactKey, core/model_slice.hpp).  Two requests
+/// that differ in one chain's priority therefore share every artifact
+/// whose slice is unchanged: a design-space sweep recomputes only what
+/// the mutation touches.
 ///
 /// Size accounting is by artifact *weight* (bytes, measured per type via
 /// util/weight.hpp) against a configurable byte budget, replacing the
@@ -27,7 +27,7 @@
 /// scheduling.
 ///
 /// Cross-request single-flight: resolve() keeps an in-flight table keyed
-/// by stage key, so when several callers — worker threads of one batch,
+/// by (stage, key), so when several callers — worker threads of one batch,
 /// sibling requests, concurrent search candidates of one neighborhood —
 /// need the same absent artifact at once, exactly one computes it and
 /// the others wait and share the result instead of racing (equal keys
@@ -45,7 +45,6 @@
 #include <list>
 #include <memory>
 #include <optional>
-#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -84,8 +83,9 @@ class ArtifactStore {
   /// Default weight budget: 64 MiB of resident artifacts.
   static constexpr std::size_t kDefaultByteBudget = std::size_t{64} << 20;
 
-  /// `byte_budget` caps resident weight (keys + artifacts); 0 means
-  /// unlimited.
+  /// `byte_budget` caps resident artifact weight (the fixed 16-byte key
+  /// is per-entry bookkeeping, like the map and LRU nodes, and is not
+  /// charged); 0 means unlimited.
   explicit ArtifactStore(std::size_t byte_budget = kDefaultByteBudget);
 
   /// Starts a new epoch (request/batch boundary) and returns its id.
@@ -101,7 +101,7 @@ class ArtifactStore {
   /// Looks an artifact up and bumps its recency.  Does not touch the
   /// per-stage lookup counters — the pipeline owns request-local
   /// counting; the store counts only insertions/evictions/residency.
-  [[nodiscard]] std::optional<Found> lookup(ArtifactStage stage, const std::string& key)
+  [[nodiscard]] std::optional<Found> lookup(ArtifactStage stage, const ArtifactKey& key)
       WHARF_EXCLUDES(mutex_);
 
   /// Inserts an artifact of `weight` bytes.  A key already present is
@@ -111,7 +111,7 @@ class ArtifactStore {
   /// evicted until the budget holds.  `type_tag` names the concrete
   /// type behind the erased value (ArtifactType in artifact_types.hpp);
   /// entries tagged 0 are skipped by persistence.
-  void insert(ArtifactStage stage, const std::string& key,
+  void insert(ArtifactStage stage, const ArtifactKey& key,
               std::shared_ptr<const void> value, std::size_t weight,
               std::uint8_t type_tag = 0) WHARF_EXCLUDES(mutex_);
 
@@ -146,7 +146,7 @@ class ArtifactStore {
   /// When compute throws, every waiter rethrows the same error and the
   /// flight is retired (a later caller computes afresh).  `type_tag` is
   /// recorded on insertion like insert()'s.
-  [[nodiscard]] Resolved resolve(ArtifactStage stage, const std::string& key,
+  [[nodiscard]] Resolved resolve(ArtifactStage stage, const ArtifactKey& key,
                                  const Compute& compute, std::uint8_t type_tag = 0)
       WHARF_EXCLUDES(mutex_);
 
@@ -175,23 +175,13 @@ class ArtifactStore {
   /// The configured weight budget in bytes (0 = unlimited).
   [[nodiscard]] std::size_t byte_budget() const { return byte_budget_; }
 
-  /// The store's key-fragment intern table.  Pipelines key their
-  /// artifacts through it (compact id-sequence keys), and persistence
-  /// resolves key ids back to fragment text through it.  Thread-safe;
-  /// lives exactly as long as the store, so interned keys stay
-  /// resolvable for every resident entry.
-  [[nodiscard]] KeyInterner& interner() { return interner_; }
-
-  /// Read-only interner access (fragment()/size() are const-safe).
-  [[nodiscard]] const KeyInterner& interner() const { return interner_; }
-
   /// One resident artifact as handed to persistence (store_persist.cpp).
   struct ExportedArtifact {
     ArtifactStage stage{};              ///< pipeline stage of the entry
     std::uint8_t type_tag = 0;          ///< ArtifactType behind the void
-    std::string key;                    ///< untagged store key
+    ArtifactKey key;                    ///< the entry's key (stage aside)
     std::shared_ptr<const void> value;  ///< the artifact itself
-    std::size_t weight = 0;             ///< artifact weight (key bytes excluded)
+    std::size_t weight = 0;             ///< artifact weight
   };
 
   /// Snapshot of every resident artifact in LRU order, least recent
@@ -215,14 +205,27 @@ class ArtifactStore {
   void clear() WHARF_EXCLUDES(mutex_);
 
  private:
+  /// An entry's identity: (stage, key) — equal keys of different stages
+  /// are different entries.
+  struct Slot {
+    ArtifactKey key;
+    ArtifactStage stage{};
+    friend bool operator==(const Slot&, const Slot&) = default;
+  };
+  struct SlotHash {
+    /// Bucket hash of `slot` (key digest plus stage).
+    std::size_t operator()(const Slot& slot) const noexcept {
+      return ArtifactKey::Hash{}(slot.key) + static_cast<std::size_t>(slot.stage);
+    }
+  };
+
   struct Entry {
     std::shared_ptr<const void> value;
-    ArtifactStage stage{};
     std::uint8_t type_tag = 0;
-    std::size_t weight = 0;
+    std::size_t weight = 0;  ///< charged (artifact) weight
     std::uint64_t epoch = 0;
     /// Position in `recency_` (O(1) bump via splice on a hit).
-    std::list<std::string>::iterator lru;
+    std::list<Slot>::iterator lru;
   };
 
   /// One in-flight computation: the owner computes, everyone else waits.
@@ -238,24 +241,20 @@ class ArtifactStore {
     std::exception_ptr error WHARF_GUARDED_BY(mutex);  ///< or its exception
   };
 
-  void insert_locked(ArtifactStage stage, std::string tagged,
-                     std::shared_ptr<const void> value, std::size_t weight,
+  void insert_locked(const Slot& slot, std::shared_ptr<const void> value, std::size_t weight,
                      std::uint8_t type_tag) WHARF_REQUIRES(mutex_);
   void evict_to_budget_locked() WHARF_REQUIRES(mutex_);
 
   const std::size_t byte_budget_;
-  /// Internally synchronized (KeyInterner has its own mutex, which
-  /// never nests with mutex_ — key building happens before store calls).
-  KeyInterner interner_;
   mutable util::Mutex mutex_;
   std::uint64_t epoch_ WHARF_GUARDED_BY(mutex_) = 0;
   std::size_t resident_bytes_ WHARF_GUARDED_BY(mutex_) = 0;
-  /// Keys in recency order, most recent first (LRU eviction from the
-  /// back).  Keys are stage-prefixed, so stages never collide.
-  std::list<std::string> recency_ WHARF_GUARDED_BY(mutex_);
-  std::unordered_map<std::string, Entry> entries_ WHARF_GUARDED_BY(mutex_);
-  /// Open single-flight computations by tagged key (resolve()).
-  std::unordered_map<std::string, std::shared_ptr<Flight>> flights_ WHARF_GUARDED_BY(mutex_);
+  /// Slots in recency order, most recent first (LRU eviction from the
+  /// back).
+  std::list<Slot> recency_ WHARF_GUARDED_BY(mutex_);
+  std::unordered_map<Slot, Entry, SlotHash> entries_ WHARF_GUARDED_BY(mutex_);
+  /// Open single-flight computations (resolve()).
+  std::unordered_map<Slot, std::shared_ptr<Flight>, SlotHash> flights_ WHARF_GUARDED_BY(mutex_);
   std::array<StageStats, kArtifactStageCount> stage_stats_ WHARF_GUARDED_BY(mutex_) = {};
 };
 

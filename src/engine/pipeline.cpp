@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <exception>
 #include <map>
-#include <sstream>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 
@@ -38,53 +38,20 @@ constexpr ArtifactType artifact_tag<ilp::PackingSolution> = ArtifactType::kPacki
 template <>
 constexpr ArtifactType artifact_tag<BusyWindowBatch> = ArtifactType::kBusyWindowBatch;
 
-/// Canonical content encoding of a packing problem (the ILP stage key —
-/// two targets or k values yielding the same capacities and incidence
-/// share one solve).
-std::string packing_key(const ilp::PackingProblem& problem, bool use_dfs) {
-  std::ostringstream os;
-  os << "ilp|dfs=" << use_dfs << ";cap=[";
-  for (const Count c : problem.capacities) os << c << ',';
-  os << "];items=[";
+/// Key of a packing problem's content (the ILP stage key — two targets
+/// or k values yielding the same capacities and incidence share one
+/// solve).
+ArtifactKey packing_key(const ilp::PackingProblem& problem, bool use_dfs) {
+  KeyHasher h;
+  h.text("ilp").flag(use_dfs).u64(problem.capacities.size());
+  for (const Count c : problem.capacities) h.i64(c);
+  h.u64(problem.item_resources.size());
   for (const auto& item : problem.item_resources) {
-    for (const int r : item) os << r << '.';
-    os << '|';
+    h.u64(item.size());
+    for (const int r : item) h.i64(r);
   }
-  os << ']';
-  return os.str();
+  return h.finish();
 }
-
-/// Per-request memo of one per-target stage-key family (State keeps one
-/// per key kind).  Keys are pure functions of (system, options), both
-/// fixed for the pipeline's lifetime, and serializing a slice walks the
-/// chain's segment structure -- on key-heavy workloads (priority search
-/// scoring thousands of candidate pipelines) building each target's key
-/// once per request instead of once per stage access is a ~2x win.
-/// get() builds *outside* the lock (holding it through serialization
-/// would serialize the worker pool's key phase) and inserts first-wins:
-/// racing builders produce equal strings, so the loser's copy is simply
-/// dropped.  Returned references are stable (unordered_map nodes survive
-/// rehashing, and entries are never erased).
-class TargetKeyCache {
- public:
-  template <typename Build>
-  const std::string& get(int target, Build&& build) WHARF_EXCLUDES(mutex_) {
-    {
-      const util::MutexLock guard(mutex_);
-      const auto it = map_.find(target);
-      if (it != map_.end()) return it->second;
-    }
-    std::string built = build();
-    const util::MutexLock guard(mutex_);
-    std::string& slot = map_[target];
-    if (slot.empty()) slot = std::move(built);
-    return slot;
-  }
-
- private:
-  util::Mutex mutex_;
-  std::unordered_map<int, std::string> map_ WHARF_GUARDED_BY(mutex_);
-};
 
 }  // namespace
 
@@ -108,15 +75,10 @@ struct Pipeline::State {
   const System* system = nullptr;
   TwcaOptions options;
   std::shared_ptr<Shared> shared;
-  /// Cross-pipeline memo of per-chain slice strings (owned by the
-  /// session/evaluator).  Deliberately *not* in Shared: budgeted
-  /// sub-pipelines substitute the target's deadline — a structural
-  /// change under the SliceCache contract — so they key uncached.
-  SliceCache* slices = nullptr;
-  /// The store's fragment intern table: every key this pipeline builds
-  /// is a compact id sequence against it (model_slice.hpp), so store
-  /// lookups hash a handful of bytes instead of kilobyte slice text.
-  KeyInterner* interner = nullptr;
+  /// The digest table of *system (shared with the owning session; a
+  /// budgeted sub-pipeline holds its own, with the target's content
+  /// digest recomputed for the substituted deadline).
+  std::shared_ptr<const ModelDigests> digests;
 
   /// Request-local memo: one cell per (stage, key); the first visitor
   /// resolves the artifact through the store's single-flight resolve()
@@ -130,11 +92,9 @@ struct Pipeline::State {
     std::exception_ptr error WHARF_GUARDED_BY(mutex);
   };
   util::Mutex memo_mutex;
-  /// One map per stage: keys are large (a busy-window key serializes
-  /// every interferer slice), so avoid re-prefixing/copying them per
-  /// lookup just to disambiguate stages.
-  std::array<std::unordered_map<std::string, std::shared_ptr<Cell>>, kArtifactStageCount> memo
-      WHARF_GUARDED_BY(memo_mutex);
+  std::array<std::unordered_map<ArtifactKey, std::shared_ptr<Cell>, ArtifactKey::Hash>,
+             kArtifactStageCount>
+      memo WHARF_GUARDED_BY(memo_mutex);
 
   /// Budgeted sub-pipelines, memoized per (target, deadline): a k-grid
   /// over one budget reuses the sub-pipeline's request-local memo
@@ -143,51 +103,52 @@ struct Pipeline::State {
   std::map<std::pair<int, Time>, std::unique_ptr<Pipeline>> budgeted_memo
       WHARF_GUARDED_BY(budgeted_mutex);
 
-  /// Per-request cache of the per-target stage keys.  Keys are pure
-  /// functions of (system, options), both fixed for the pipeline's
-  /// lifetime, and serializing a slice walks the chain's segment
-  /// structure — on key-heavy workloads (priority search scoring
-  /// thousands of candidate pipelines) building each target's key once
-  /// per request instead of once per stage access is a ~2x win.  The
-  /// nested keys compose: overload reuses the busy-window part, dmm the
-  /// overload part.  unordered_map nodes are stable, so returned
-  /// references outlive later insertions.
-  TargetKeyCache ifc_keys;
-  TargetKeyCache bw_keys;
-  TargetKeyCache bw_noov_keys;
-  TargetKeyCache ov_keys;
+  /// Per-target stage keys, built on first use: each digests the
+  /// target's column of the digest table (O(m) words), and one request
+  /// reads a target's busy-window key several times.
+  enum KeyKind : std::size_t { kIfcKey, kBwKey, kBwNoovKey, kOvKey, kKeyKinds };
+  util::Mutex keys_mutex;
+  std::vector<std::optional<ArtifactKey>> keys WHARF_GUARDED_BY(keys_mutex);
 
-  const std::string& interference_key_for(int target);
-  const std::string& busy_window_key_for(int target, bool without_overload);
-  const std::string& overload_key_for(int target);
+  template <typename Build>
+  ArtifactKey cached_key(KeyKind kind, int target, Build&& build) WHARF_EXCLUDES(keys_mutex) {
+    WHARF_EXPECT(target >= 0 && target < system->size(),
+                 "chain index " << target << " out of range [0, " << system->size() << ")");
+    const std::size_t slot =
+        kind * static_cast<std::size_t>(system->size()) + static_cast<std::size_t>(target);
+    {
+      const util::MutexLock guard(keys_mutex);
+      if (keys.empty()) keys.resize(kKeyKinds * static_cast<std::size_t>(system->size()));
+      if (keys[slot].has_value()) return *keys[slot];
+    }
+    const ArtifactKey key = build();
+    const util::MutexLock guard(keys_mutex);
+    keys[slot] = key;
+    return key;
+  }
+
+  ArtifactKey interference_key_for(int target) {
+    return cached_key(kIfcKey, target,
+                      [&] { return interference_key(*system, *digests, target); });
+  }
+  ArtifactKey busy_window_key_for(int target, bool without_overload) {
+    return cached_key(without_overload ? kBwNoovKey : kBwKey, target, [&] {
+      return busy_window_key(*system, *digests, target, options.analysis, without_overload);
+    });
+  }
+  ArtifactKey overload_key_for(int target) {
+    const ArtifactKey busy_part = busy_window_key_for(target, /*without_overload=*/false);
+    return cached_key(kOvKey, target, [&] {
+      return overload_key(*system, *digests, target, options, busy_part);
+    });
+  }
 
   template <typename T, typename Make>
-  std::shared_ptr<const T> acquire(ArtifactStage stage, const std::string& key, Make&& make);
+  std::shared_ptr<const T> acquire(ArtifactStage stage, const ArtifactKey& key, Make&& make);
 };
 
-const std::string& Pipeline::State::interference_key_for(int target) {
-  return ifc_keys.get(
-      target, [&] { return wharf::interference_key(*system, target, slices, interner); });
-}
-
-const std::string& Pipeline::State::busy_window_key_for(int target, bool without_overload) {
-  return (without_overload ? bw_noov_keys : bw_keys).get(target, [&] {
-    return wharf::busy_window_key(*system, target, options.analysis, without_overload, slices,
-                                  interner);
-  });
-}
-
-const std::string& Pipeline::State::overload_key_for(int target) {
-  // Resolve the busy-window part first (its own memo round), then
-  // compose the overload key from it outside the lock.
-  const std::string& busy_part = busy_window_key_for(target, /*without_overload=*/false);
-  return ov_keys.get(target, [&] {
-    return wharf::overload_key(*system, target, options, busy_part, slices, interner);
-  });
-}
-
 template <typename T, typename Make>
-std::shared_ptr<const T> Pipeline::State::acquire(ArtifactStage stage, const std::string& key,
+std::shared_ptr<const T> Pipeline::State::acquire(ArtifactStage stage, const ArtifactKey& key,
                                                   Make&& make) {
   std::shared_ptr<Cell> cell;
   {
@@ -248,12 +209,11 @@ std::shared_ptr<const T> Pipeline::State::acquire(ArtifactStage stage, const std
 // ---------------------------------------------------------------------
 
 Pipeline::Pipeline(const System& system, const TwcaOptions& options, ArtifactStore& store,
-                   std::uint64_t epoch, int jobs, SliceCache* slices)
+                   std::uint64_t epoch, int jobs, std::shared_ptr<const ModelDigests> digests)
     : state_(std::make_unique<State>()) {
   state_->system = &system;
   state_->options = options;
-  state_->slices = slices;
-  state_->interner = &store.interner();
+  state_->digests = std::move(digests);
   state_->shared = std::make_shared<Shared>();
   state_->shared->store = &store;
   state_->shared->epoch = epoch;
@@ -261,13 +221,13 @@ Pipeline::Pipeline(const System& system, const TwcaOptions& options, ArtifactSto
 }
 
 Pipeline::Pipeline(std::shared_ptr<const System> owned, const TwcaOptions& options,
-                   std::shared_ptr<Shared> shared)
+                   std::shared_ptr<Shared> shared, std::shared_ptr<const ModelDigests> digests)
     : state_(std::make_unique<State>()) {
   state_->owned = std::move(owned);
   state_->system = state_->owned.get();
   state_->options = options;
   state_->shared = std::move(shared);
-  state_->interner = &state_->shared->store->interner();
+  state_->digests = std::move(digests);
 }
 
 Pipeline::~Pipeline() = default;
@@ -314,25 +274,14 @@ void Pipeline::prime_busy_windows(const std::vector<std::pair<int, bool>>& membe
   sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
   if (sorted.size() < 2) return;  // nothing to batch
 
-  // Batch key: the member busy-window keys joined — the same member set
-  // over the same model slices names the same artifact.  Member keys are
-  // interned id sequences, so a header fragment pins the member count
-  // and each member's byte length (the raw concatenation alone would be
-  // ambiguous between different splits of the same id stream).
-  std::string header = "bwb|n=";
-  header += std::to_string(sorted.size());
-  header += ";lens=";
-  std::string member_bytes;
+  // Batch key: the member count and member busy-window keys — the same
+  // member set over the same model slices names the same artifact.
+  KeyHasher batch;
+  batch.text("bwb").u64(sorted.size());
   for (const auto& [target, without_overload] : sorted) {
-    const std::string& member = state_->busy_window_key_for(target, without_overload);
-    header += std::to_string(member.size());
-    header += ',';
-    member_bytes += member;
+    batch.key(state_->busy_window_key_for(target, without_overload));
   }
-  std::string key;
-  key.reserve(KeyInterner::kIdBytes + member_bytes.size());
-  KeyInterner::append_id(key, state_->interner->intern(header));
-  key += member_bytes;
+  const ArtifactKey key = batch.finish();
   try {
     (void)state_->acquire<BusyWindowBatch>(ArtifactStage::kBusyWindow, key, [&] {
       BusyWindowBatch batch;
@@ -369,17 +318,11 @@ DmmResult Pipeline::dmm(int target, Count k) {
 
   const auto result = state_->acquire<DmmResult>(
       ArtifactStage::kDmmCurve,
-      dmm_key(k, state_->options, state_->overload_key_for(target), state_->interner), [&] {
+      dmm_key(k, state_->options, state_->overload_key_for(target)), [&] {
         const auto full = latency(target);
         const auto artifacts = overload_artifacts(target);
         const PackingSolver solver = [this](const ilp::PackingProblem& problem) {
-          // The content encoding is interned whole (one id): packing
-          // problems repeat across targets and k values, so the long
-          // text is hashed once and every later lookup keys 4 bytes.
-          std::string key;
-          KeyInterner::append_id(
-              key, state_->interner->intern(
-                       packing_key(problem, state_->options.use_dfs_packer)));
+          const ArtifactKey key = packing_key(problem, state_->options.use_dfs_packer);
           return *state_->acquire<ilp::PackingSolution>(ArtifactStage::kIlp, key, [&] {
             return ilp::solve_packing_split(problem, state_->shared->jobs,
                                             state_->options.use_dfs_packer);
@@ -403,8 +346,10 @@ Pipeline& Pipeline::budgeted(int target, Time deadline) {
   std::unique_ptr<Pipeline>& slot = state_->budgeted_memo[{target, deadline}];
   if (!slot) {
     auto owned = std::make_shared<const System>(system().with_deadline(target, deadline));
-    slot = std::unique_ptr<Pipeline>(
-        new Pipeline(std::move(owned), state_->options, state_->shared));
+    auto digests = std::make_shared<const ModelDigests>(
+        state_->digests->with_content(*owned, target));
+    slot = std::unique_ptr<Pipeline>(new Pipeline(std::move(owned), state_->options,
+                                                  state_->shared, std::move(digests)));
   }
   return *slot;
 }

@@ -11,8 +11,10 @@
 /// concurrent *requests* — batch siblings, search candidates — needing
 /// the same absent artifact share one computation), then the core
 /// computation — whose upstream inputs go through the same resolution
-/// recursively.  The packing-ILP solve is intercepted the same way and
-/// split across the worker pool (ilp::solve_packing_split).
+/// recursively.  Stage keys are 128-bit digests built from the session's
+/// per-model digest table (core/model_slice.hpp).  The packing-ILP solve
+/// is intercepted the same way and split across the worker pool
+/// (ilp::solve_packing_split).
 ///
 /// Path queries run through the same machinery: each per-chain budgeted
 /// dmm spawns a sub-pipeline over System::with_deadline that shares the
@@ -26,7 +28,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -35,8 +36,6 @@
 #include "engine/artifact_store.hpp"
 
 namespace wharf {
-
-class SliceCache;  // core/model_slice.hpp
 
 /// Store telemetry of one served request, per pipeline stage.  A request
 /// counts one lookup per distinct artifact it resolves, and
@@ -61,14 +60,11 @@ struct StageDiagnostics {
 class Pipeline {
  public:
   /// `system` and `store` must outlive the pipeline; `epoch` is the
-  /// request's store epoch; `jobs` sizes the intra-ILP work stealing.
-  /// A non-null `slices` (also outliving the pipeline) memoizes
-  /// per-chain slice strings across pipelines — sessions and the search
-  /// evaluator pass one so candidates/revisions that leave a chain's
-  /// priority sub-vector untouched reuse its serialized slice; the
-  /// caller owns the SliceCache soundness contract (model_slice.hpp).
+  /// request's store epoch; `jobs` sizes the intra-ILP work stealing;
+  /// `digests` is the digest table of `system` (sessions share theirs,
+  /// derived incrementally across priority deltas).
   Pipeline(const System& system, const TwcaOptions& options, ArtifactStore& store,
-           std::uint64_t epoch, int jobs, SliceCache* slices = nullptr);
+           std::uint64_t epoch, int jobs, std::shared_ptr<const ModelDigests> digests);
   ~Pipeline();
 
   Pipeline(Pipeline&&) noexcept;
@@ -124,7 +120,7 @@ class Pipeline {
   struct State;
 
   Pipeline(std::shared_ptr<const System> owned, const TwcaOptions& options,
-           std::shared_ptr<Shared> shared);
+           std::shared_ptr<Shared> shared, std::shared_ptr<const ModelDigests> digests);
 
   std::unique_ptr<State> state_;
 };

@@ -46,7 +46,7 @@ Stages sub(const Stages& a, const Stages& b) {
 }
 
 /// Whole-model fingerprint (diagnostics only — stage artifacts key on
-/// the finer model slices of core/model_slice.hpp): the serialized
+/// the finer slice digests of core/model_slice.hpp): the serialized
 /// system plus every analysis knob.
 std::string model_fingerprint(const System& system, const TwcaOptions& o) {
   std::ostringstream os;
@@ -481,7 +481,12 @@ struct Session::Impl {
   TwcaOptions options;
   int jobs = 1;
   std::shared_ptr<const System> model;
-  std::shared_ptr<SliceCache> slices;
+  /// Digest table of *model (immutable; speculative children derive
+  /// theirs from it).
+  std::shared_ptr<const ModelDigests> digests;
+  /// Digests this session carried over vs. computed, summed over its
+  /// table build and every apply().
+  DigestStats digest_stats{};
   std::uint64_t epoch = 0;
   std::uint64_t revision = 0;
   long long deltas_applied = 0;
@@ -489,20 +494,33 @@ struct Session::Impl {
   std::unique_ptr<Pipeline> pipeline;
   /// Stage counters of pipelines retired by apply().
   Stages retired{};
-  /// Slice-memo counters of caches detached by structural apply().
-  SliceCache::Stats retired_slices{};
   /// Totals already handed out through collect() — the baseline of the
   /// next report's per-call diagnostics.
   Stages reported{};
 
+  void set_digests(std::shared_ptr<const ModelDigests> table) {
+    digests = std::move(table);
+    digest_stats.hits += digests->stats().hits;
+    digest_stats.misses += digests->stats().misses;
+  }
+
   void reset_pipeline() {
-    pipeline = std::make_unique<Pipeline>(*model, options, *store, epoch, jobs, slices.get());
+    pipeline = std::make_unique<Pipeline>(*model, options, *store, epoch, jobs, digests);
   }
 
   [[nodiscard]] Stages lifetime_stages() const {
     return add(retired, pipeline->stage_diagnostics());
   }
 };
+
+namespace {
+
+bool any_structural(const std::vector<Delta>& deltas) {
+  return std::any_of(deltas.begin(), deltas.end(),
+                     [](const Delta& d) { return is_structural(d); });
+}
+
+}  // namespace
 
 Session::Session(System system, TwcaOptions options, ArtifactStore& store, int jobs)
     : Session(std::move(system), options, store, jobs, store.begin_epoch()) {}
@@ -512,13 +530,14 @@ Session::Session(System system, TwcaOptions options, ArtifactStore& store, int j
     : Session(std::move(system), options, store, jobs, epoch, nullptr) {}
 
 Session::Session(System system, TwcaOptions options, ArtifactStore& store, int jobs,
-                 std::uint64_t epoch, std::shared_ptr<SliceCache> slices)
+                 std::uint64_t epoch, std::shared_ptr<const ModelDigests> digests)
     : impl_(std::make_unique<Impl>()) {
   impl_->store = &store;
   impl_->options = options;
   impl_->jobs = jobs;
   impl_->model = std::make_shared<const System>(std::move(system));
-  impl_->slices = slices != nullptr ? std::move(slices) : std::make_shared<SliceCache>();
+  impl_->set_digests(digests != nullptr ? std::move(digests)
+                                        : std::make_shared<const ModelDigests>(*impl_->model));
   impl_->epoch = epoch;
   impl_->reset_pipeline();
 }
@@ -540,18 +559,14 @@ Status Session::apply(const std::vector<Delta>& deltas) {
   // classify as hits from now on.
   impl_->retired = impl_->lifetime_stages();
   impl_->pipeline.reset();
-  impl_->model = std::make_shared<const System>(std::move(mutated).value());
-  if (std::any_of(deltas.begin(), deltas.end(),
-                  [](const Delta& d) { return is_structural(d); })) {
-    // Detach rather than invalidate(): speculative sessions sharing the
-    // old cache keep a consistent (old-structure) memo of their own,
-    // and this session re-keys against a fresh one — no window where a
-    // live candidate repopulates entries the new structure would read.
-    const SliceCache::Stats old = impl_->slices->stats();
-    impl_->retired_slices.hits += old.hits;
-    impl_->retired_slices.misses += old.misses;
-    impl_->slices = std::make_shared<SliceCache>();
-  }
+  auto model = std::make_shared<const System>(std::move(mutated).value());
+  // A structural batch rebuilds the digest table; a priority-only batch
+  // derives it from the current one.  The old table stays intact for
+  // any speculative session still holding it.
+  impl_->set_digests(std::make_shared<const ModelDigests>(
+      any_structural(deltas) ? ModelDigests(*model)
+                             : impl_->digests->derive_priorities(*impl_->model, *model)));
+  impl_->model = std::move(model);
   impl_->epoch = impl_->store->begin_epoch();
   impl_->reset_pipeline();
   ++impl_->revision;
@@ -563,14 +578,16 @@ Session Session::speculate(const std::vector<Delta>& deltas, int jobs) const {
   Expected<System> mutated = mutate(*impl_->model, deltas);
   WHARF_EXPECT(mutated.has_value(),
                "invalid speculative delta batch: " << mutated.status().to_string());
-  // Priority-only candidates keep the structural content, so they may
-  // share (and extend) this session's per-chain key-fragment memo;
-  // structural candidates get their own.
-  const bool structural = std::any_of(deltas.begin(), deltas.end(),
-                                      [](const Delta& d) { return is_structural(d); });
+  // Priority-only candidates derive their digest table from this
+  // session's; structural candidates build their own.
+  std::shared_ptr<const ModelDigests> digests;
+  if (!any_structural(deltas)) {
+    digests = std::make_shared<const ModelDigests>(
+        impl_->digests->derive_priorities(*impl_->model, mutated.value()));
+  }
   return Session(std::move(mutated).value(), impl_->options, *impl_->store,
                  jobs < 0 ? impl_->jobs : jobs, impl_->store->begin_epoch(),
-                 structural ? nullptr : impl_->slices);
+                 std::move(digests));
 }
 
 QueryResult Session::execute(const Query& query, std::size_t concurrent_tasks) {
@@ -699,15 +716,15 @@ std::uint64_t Session::fingerprint() const {
   return util::fnv1a64(model_fingerprint(*impl_->model, impl_->options));
 }
 
+const ModelDigests& Session::digests() const { return *impl_->digests; }
+
 SessionStats Session::stats() const {
   SessionStats out;
   out.revision = impl_->revision;
   out.deltas_applied = impl_->deltas_applied;
   out.queries_served = impl_->queries_served.load(std::memory_order_relaxed);
   out.stages = impl_->lifetime_stages();
-  out.slices = impl_->slices->stats();
-  out.slices.hits += impl_->retired_slices.hits;
-  out.slices.misses += impl_->retired_slices.misses;
+  out.slices = impl_->digest_stats;
   return out;
 }
 

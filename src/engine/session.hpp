@@ -37,9 +37,13 @@
 /// The epoch/key plumbing: each applied batch advances the shared
 /// store's epoch, so artifacts computed before the delta classify as
 /// *hits* afterwards and the per-stage counters read as "what this
-/// revision reused vs. re-solved".  A shared SliceCache memoizes
-/// per-chain key fragments across revisions and speculative candidates;
-/// structural deltas (anything except SetPriority) invalidate it.
+/// revision reused vs. re-solved".  Each session holds an immutable
+/// per-model digest table (ModelDigests, core/model_slice.hpp) its stage
+/// keys are built from.  A priority-only apply() or speculate() derives
+/// the new table from the current one, recomputing only the digests the
+/// moved priorities can change; a structural delta (anything except
+/// SetPriority) rebuilds it.  Nothing is memoized across tables, so a
+/// session's key state is O(m²) digests whatever it has served.
 
 #ifndef WHARF_ENGINE_SESSION_HPP
 #define WHARF_ENGINE_SESSION_HPP
@@ -109,8 +113,8 @@ using Delta = std::variant<SetPriorityDelta, SetWcetDelta, SetDeadlineDelta, Set
                            AddChainDelta, RemoveChainDelta>;
 
 /// True for every delta kind that changes structural model content
-/// (anything except SetPriority) — these invalidate the session's
-/// SliceCache; priority deltas re-key through it.
+/// (anything except SetPriority) — these rebuild the session's digest
+/// table; priority deltas derive it incrementally.
 [[nodiscard]] bool is_structural(const Delta& delta);
 
 // ---------------------------------------------------------------------
@@ -127,7 +131,10 @@ struct SessionStats {
   long long deltas_applied = 0;     ///< individual deltas across batches
   long long queries_served = 0;     ///< queries answered (query/serve/execute)
   std::array<StageDiagnostics, kArtifactStageCount> stages{};
-  SliceCache::Stats slices;         ///< per-chain key-fragment memo reuse
+  /// Digest-table reuse: digests carried over from a parent table
+  /// (hits) vs. computed afresh (misses), over the session's table
+  /// build and every apply().
+  DigestStats slices;
 
   [[nodiscard]] std::size_t lookups() const;  ///< store lookups, summed over stages
   [[nodiscard]] std::size_t hits() const;     ///< resident-before-epoch lookups
@@ -168,15 +175,15 @@ class Session {
   /// Applies a delta batch atomically: all deltas are validated and
   /// applied against the current model in order, the rebuilt system is
   /// re-validated (priority uniqueness etc.), and only then does the
-  /// session advance — a new revision, a new store epoch, slice-cache
-  /// invalidation iff the batch was structural.  Any error returns a
+  /// session advance — a new revision, a new store epoch, a digest table
+  /// rebuilt (structural batch) or derived (priority-only batch).  Any error returns a
   /// non-OK Status and leaves the session exactly as it was.
   Status apply(const std::vector<Delta>& deltas);
 
   /// A hypothetical session: the current model plus `deltas`, sharing
-  /// this session's store (own epoch) and — for priority-only batches —
-  /// its SliceCache, so speculative candidates reuse each other's key
-  /// fragments.  Throws on invalid deltas (the search evaluator builds
+  /// this session's store (own epoch).  For priority-only batches its
+  /// digest table is derived from this session's, so the key cost is
+  /// O(moved chains × m).  Throws on invalid deltas (the search evaluator builds
   /// them by construction); `jobs` < 0 inherits this session's.
   [[nodiscard]] Session speculate(const std::vector<Delta>& deltas, int jobs = -1) const;
 
@@ -221,11 +228,15 @@ class Session {
   /// Lifetime telemetry snapshot (revision, deltas, store counters).
   [[nodiscard]] SessionStats stats() const;
 
+  /// The digest table of the current model, which every stage key of
+  /// this revision is built from (invalidated like system()).
+  [[nodiscard]] const ModelDigests& digests() const;
+
  private:
   /// Delegation target of every constructor (and speculate()): a null
-  /// `slices` means a fresh cache.
+  /// `digests` means a table built from `system`.
   Session(System system, TwcaOptions options, ArtifactStore& store, int jobs,
-          std::uint64_t epoch, std::shared_ptr<SliceCache> slices);
+          std::uint64_t epoch, std::shared_ptr<const ModelDigests> digests);
 
   struct Impl;
   std::unique_ptr<Impl> impl_;

@@ -9,7 +9,6 @@
 #include <fstream>
 #include <optional>
 #include <sstream>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -534,54 +533,22 @@ Status write_temp_file(const std::string& temp_path, const std::string& data,
 StoreSaveResult StoreSnapshot::save(const ArtifactStore& store, const std::string& path,
                                     const StoreSaveOptions& options) {
   StoreSaveResult result;
-  const std::vector<ArtifactStore::ExportedArtifact> artifacts = store.export_artifacts();
-  const KeyInterner& interner = store.interner();
-  const std::size_t live_fragments = interner.size();
-
-  // Translate live fragment ids to dense file-local ids in first-
-  // appearance order, collecting the referenced fragment texts — the
-  // snapshot carries only fragments its keys actually use.
-  std::unordered_map<std::uint32_t, std::uint32_t> local_ids;
-  std::vector<std::uint32_t> used_live_ids;
   std::string records;
-  for (const ArtifactStore::ExportedArtifact& artifact : artifacts) {
+  for (const ArtifactStore::ExportedArtifact& artifact : store.export_artifacts()) {
     const auto type = static_cast<ArtifactType>(artifact.type_tag);
     std::optional<std::string> payload =
         type != ArtifactType::kUntyped ? serialize_value(type, artifact.value.get())
                                        : std::nullopt;
-    // Keys must be interned id sequences (everything the pipeline
-    // writes is); anything else is not portable and is left out.
-    const bool interned_key =
-        artifact.key.size() % KeyInterner::kIdBytes == 0 && !artifact.key.empty();
-    if (!payload.has_value() || !interned_key) {
+    if (!payload.has_value()) {
       ++result.records_skipped;
       continue;
     }
-    std::string local_key;
-    local_key.reserve(artifact.key.size());
-    bool valid = true;
-    for (std::size_t i = 0; i < artifact.key.size(); i += KeyInterner::kIdBytes) {
-      const std::uint32_t live = KeyInterner::read_id(artifact.key.data() + i);
-      if (live >= live_fragments) {
-        valid = false;
-        break;
-      }
-      const auto [it, inserted] =
-          local_ids.emplace(live, static_cast<std::uint32_t>(used_live_ids.size()));
-      if (inserted) used_live_ids.push_back(live);
-      KeyInterner::append_id(local_key, it->second);
-    }
-    if (!valid) {
-      ++result.records_skipped;
-      continue;
-    }
-
     std::string record;
-    record.reserve(local_key.size() + payload->size() + 32);
+    record.reserve(payload->size() + 32);
     put_u8(record, static_cast<std::uint8_t>(static_cast<int>(artifact.stage)));
     put_u8(record, artifact.type_tag);
-    put_u32(record, static_cast<std::uint32_t>(local_key.size()));
-    record += local_key;
+    put_u64(record, artifact.key.lo);
+    put_u64(record, artifact.key.hi);
     put_u64(record, payload->size());
     record += *payload;
     records += 'R';
@@ -590,21 +557,10 @@ StoreSaveResult StoreSnapshot::save(const ArtifactStore& store, const std::strin
     ++result.records_written;
   }
 
-  // String-table section ('S'): the used fragments in file-local order.
-  std::string table_payload;
-  for (const std::uint32_t live : used_live_ids) {
-    put_string(table_payload, interner.fragment(live));
-  }
-
   std::string file;
-  file.reserve(16 + table_payload.size() + records.size() + 32);
+  file.reserve(12 + records.size() + 16);
   file.append(kMagic, sizeof kMagic);
   put_u32(file, kStoreFormatVersion);
-  file += 'S';
-  put_u32(file, static_cast<std::uint32_t>(used_live_ids.size()));
-  put_u64(file, table_payload.size());
-  file += table_payload;
-  put_u32(file, crc32(table_payload.data(), table_payload.size()));
   file += records;
   std::string footer;
   put_u64(footer, result.records_written);
@@ -655,7 +611,7 @@ StoreLoadResult StoreSnapshot::load(ArtifactStore& store, const std::string& pat
   struct StagedRecord {
     ArtifactStage stage{};
     std::uint8_t type_tag = 0;
-    std::string key;  // live interned key
+    ArtifactKey key;
     DecodedValue decoded;
   };
   std::vector<StagedRecord> staged;
@@ -675,30 +631,6 @@ StoreLoadResult StoreSnapshot::load(ArtifactStore& store, const std::string& pat
       result.reason = "format version " + std::to_string(version) + " unsupported (expected " +
                       std::to_string(kStoreFormatVersion) + ")";
       return result;
-    }
-
-    if (in.u8() != 'S') throw Corrupt{"missing string-table section"};
-    const std::uint32_t fragment_count = in.u32();
-    const std::uint64_t table_len = in.u64();
-    in.need(table_len, "string table");
-    const char* table_start = in.cursor();
-    Reader table(table_start, table_len);
-    std::vector<std::string> fragments;
-    in.need(fragment_count, "string table entries");  // >= 1 byte each
-    fragments.reserve(fragment_count);
-    for (std::uint32_t i = 0; i < fragment_count; ++i) fragments.push_back(table.str());
-    if (table.remaining() != 0) throw Corrupt{"string table has trailing bytes"};
-    // Advance past the payload we just parsed, then verify it.
-    const std::string payload = in.bytes(table_len, "string table payload");
-    if (in.u32() != crc32(payload.data(), payload.size())) {
-      throw Corrupt{"string table checksum mismatch"};
-    }
-
-    // Translate file-local fragment ids into the live interner once.
-    std::vector<std::uint32_t> live_ids;
-    live_ids.reserve(fragments.size());
-    for (const std::string& fragment : fragments) {
-      live_ids.push_back(store.interner().intern(fragment));
     }
 
     bool saw_footer = false;
@@ -724,17 +656,15 @@ StoreLoadResult StoreSnapshot::load(ArtifactStore& store, const std::string& pat
       const std::uint8_t stage = in.u8();
       if (stage >= kArtifactStageCount) throw Corrupt{"record stage out of range"};
       const std::uint8_t type_tag = in.u8();
-      const std::uint32_t key_len = in.u32();
-      if (key_len % KeyInterner::kIdBytes != 0 || key_len == 0) {
-        throw Corrupt{"record key length invalid"};
-      }
-      const std::string local_key = in.bytes(key_len, "record key");
+      const std::uint64_t key_lo = in.u64();
+      const std::uint64_t key_hi = in.u64();
       const std::uint64_t payload_len = in.u64();
       in.need(payload_len, "record payload");
       Reader payload(in.cursor(), payload_len);
       StagedRecord record;
       record.stage = static_cast<ArtifactStage>(static_cast<int>(stage));
       record.type_tag = type_tag;
+      record.key = ArtifactKey{key_lo, key_hi};
       record.decoded = decode_value(static_cast<ArtifactType>(type_tag), payload);
       if (payload.remaining() != 0) throw Corrupt{"record payload has trailing bytes"};
       (void)in.bytes(payload_len, "record payload");  // advance
@@ -742,13 +672,6 @@ StoreLoadResult StoreSnapshot::load(ArtifactStore& store, const std::string& pat
       const std::string record_bytes(file.data() + record_start, record_end - record_start);
       if (in.u32() != crc32(record_bytes.data(), record_bytes.size())) {
         throw Corrupt{"record checksum mismatch"};
-      }
-      // Rebuild the live key from the verified record's file-local ids.
-      record.key.reserve(key_len);
-      for (std::uint32_t i = 0; i < key_len; i += KeyInterner::kIdBytes) {
-        const std::uint32_t local = KeyInterner::read_id(local_key.data() + i);
-        if (local >= live_ids.size()) throw Corrupt{"record key references unknown fragment"};
-        KeyInterner::append_id(record.key, live_ids[local]);
       }
       staged.push_back(std::move(record));
     }

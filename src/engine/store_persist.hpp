@@ -5,19 +5,17 @@
 /// ArtifactType values of artifact_types.hpp) through explicit
 /// serializers into one versioned binary file:
 ///
-///   magic "WHARFSTO" | u32 format version
-///   'S'  string table: u32 fragment count | u64 payload len
-///        | (u32 len | bytes)*  | u32 CRC32(payload)
-///   'R'* records: u8 stage | u8 type tag | u32 key len | key
+///   magic "WHARFSTO" | u32 format version (2)
+///   'R'* records: u8 stage | u8 type tag | 16-byte key
 ///        | u64 payload len | payload | u32 CRC32(stage..payload)
 ///   'F'  footer: u64 record count | u32 CRC32(count)
 ///
-/// Keys in the file are sequences of *file-local* 4-byte fragment ids
-/// into the string-table section (dense, first-appearance order), so a
-/// snapshot is portable across processes whose live KeyInterner assigned
-/// different ids: load() re-interns each fragment and rebuilds the live
-/// key.  The version field sits outside any checksum on purpose — a
-/// version mismatch must stay distinguishable from corruption.
+/// Keys are the store's 128-bit ArtifactKeys (two little-endian words).
+/// They are pure digests of model content, identical in every process
+/// and on every platform, so records need no translation table.  The
+/// version field sits outside any checksum on purpose — a version
+/// mismatch (such as a version-1 file, whose keys were interned
+/// fragment ids) must stay distinguishable from corruption.
 ///
 /// Durability contract: save() builds the entire snapshot in memory,
 /// writes it to a temporary file in the target directory, fsyncs, and
@@ -50,7 +48,7 @@ namespace wharf {
 /// Version tag of the snapshot format this build reads and writes.
 /// Bump on any incompatible layout change; readers reject other
 /// versions (cold start, not corruption).
-inline constexpr std::uint32_t kStoreFormatVersion = 1;
+inline constexpr std::uint32_t kStoreFormatVersion = 2;
 
 /// Knobs of StoreSnapshot::save().
 struct StoreSaveOptions {
@@ -87,8 +85,7 @@ class StoreSnapshot {
  public:
   /// Serializes every resident *typed* artifact of `store` to `path`
   /// (write-temp, fsync, rename).  Entries with ArtifactType::kUntyped
-  /// or keys not interned through store.interner() are skipped and
-  /// counted.  On failure the previous file at `path` is untouched and
+  /// are skipped and counted.  On failure the previous file at `path` is untouched and
   /// the temporary is removed.
   [[nodiscard]] static StoreSaveResult save(const ArtifactStore& store, const std::string& path,
                                             const StoreSaveOptions& options = {});

@@ -234,8 +234,16 @@ class JsonParser {
   JsonValue parse_value() {
     const char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        if (depth_ == kMaxJsonDepth) {
+          fail("JSON nesting deeper than " + std::to_string(kMaxJsonDepth) + " levels");
+        }
+        ++depth_;
+        JsonValue v = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': {
         JsonValue v;
         v.kind_ = JsonValue::Kind::kString;
@@ -403,6 +411,7 @@ class JsonParser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< open arrays/objects around the cursor
 };
 
 JsonValue parse_json(const std::string& text) { return JsonParser(text).parse(); }

@@ -102,8 +102,14 @@ class JsonValue {
   std::vector<std::pair<std::string, JsonValue>> members_;
 };
 
+/// Deepest array/object nesting parse_json() accepts.  Protocol
+/// documents nest a handful of levels; the bound keeps the recursive
+/// parser's stack use fixed whatever a client sends.
+inline constexpr int kMaxJsonDepth = 64;
+
 /// Parses one JSON document (the whole string must be consumed, modulo
-/// whitespace).  Throws wharf::ParseError on malformed input.
+/// whitespace).  Throws wharf::ParseError on malformed input, including
+/// nesting deeper than kMaxJsonDepth.
 [[nodiscard]] JsonValue parse_json(const std::string& text);
 
 // ---------------------------------------------------------------------

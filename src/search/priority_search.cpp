@@ -61,6 +61,44 @@ std::vector<Priority> exhaustive_start(const System& base, long long max_permuta
   return priorities;
 }
 
+/// Per-position majority vote (Boyer–Moore) over a candidate batch: for
+/// a pairwise-swap neighbourhood of more than four tasks, exactly the
+/// assignment it was built around (each position moves in n-1 of the
+/// n(n-1)/2 swaps).  Other batches may vote a non-permutation, which
+/// the caller rejects.
+std::vector<Priority> batch_centre(const std::vector<std::vector<Priority>>& candidates) {
+  std::vector<Priority> centre = candidates.front();
+  std::vector<std::size_t> votes(centre.size(), 0);
+  for (const std::vector<Priority>& candidate : candidates) {
+    if (candidate.size() != centre.size()) continue;
+    for (std::size_t i = 0; i < centre.size(); ++i) {
+      if (votes[i] == 0) {
+        centre[i] = candidate[i];
+        votes[i] = 1;
+      } else if (centre[i] == candidate[i]) {
+        ++votes[i];
+      } else {
+        --votes[i];
+      }
+    }
+  }
+  return centre;
+}
+
+/// One SetPriorityDelta per task `priorities` moves off `from` (flat
+/// task order, `names` the dotted task names).
+std::vector<Delta> priority_deltas(const std::vector<Priority>& from,
+                                   const std::vector<Priority>& priorities,
+                                   const std::vector<std::string>& names) {
+  WHARF_EXPECT(priorities.size() == from.size(),
+               "expected " << from.size() << " priorities, got " << priorities.size());
+  std::vector<Delta> deltas;
+  for (std::size_t i = 0; i < priorities.size(); ++i) {
+    if (priorities[i] != from[i]) deltas.push_back(SetPriorityDelta{names[i], priorities[i]});
+  }
+  return deltas;
+}
+
 }  // namespace
 
 void fold_scores(const std::vector<std::vector<Priority>>& candidates,
@@ -144,9 +182,10 @@ PipelineEvaluator::PipelineEvaluator(System base, EvaluationSpec spec, TwcaOptio
       options_(options),
       store_(&store),
       jobs_(jobs),
-      session_(std::make_unique<Session>(base_, options_, *store_, 1)),
-      base_priorities_(base_.flat_priorities()),
-      task_names_(dotted_task_names(base_)) {}
+      task_names_(dotted_task_names(base_)),
+      anchor_(std::make_unique<Session>(base_, options_, *store_, 1)),
+      anchor_priorities_(base_.flat_priorities()),
+      stats_{0, {}, anchor_->stats().slices} {}
 
 PipelineEvaluator::PipelineEvaluator(System base, EvaluationSpec spec, TwcaOptions options,
                                      std::size_t cache_bytes)
@@ -156,9 +195,10 @@ PipelineEvaluator::PipelineEvaluator(System base, EvaluationSpec spec, TwcaOptio
       options_(options),
       owned_store_(std::make_unique<ArtifactStore>(cache_bytes)),
       store_(owned_store_.get()),
-      session_(std::make_unique<Session>(base_, options_, *store_, 1)),
-      base_priorities_(base_.flat_priorities()),
-      task_names_(dotted_task_names(base_)) {}
+      task_names_(dotted_task_names(base_)),
+      anchor_(std::make_unique<Session>(base_, options_, *store_, 1)),
+      anchor_priorities_(base_.flat_priorities()),
+      stats_{0, {}, anchor_->stats().slices} {}
 
 PipelineEvaluator::~PipelineEvaluator() = default;
 
@@ -166,22 +206,14 @@ const System& PipelineEvaluator::base() const { return base_; }
 
 Objective PipelineEvaluator::score(const std::vector<Priority>& priorities, int ilp_jobs) {
   // Candidate = delta batch: one SetPriorityDelta per task the candidate
-  // moves off the base assignment.  speculate() opens the candidate's
+  // moves off the anchor assignment.  speculate() opens the candidate's
   // own store epoch — artifacts resolved by *earlier* candidates (or
   // earlier engine requests) classify as hits, which is what makes
-  // neighborhood reuse observable in stats() — and shares the base
-  // session's SliceCache, so only the moved chains' key fragments are
-  // re-serialized.
-  WHARF_EXPECT(priorities.size() == base_priorities_.size(),
-               "expected " << base_priorities_.size() << " priorities, got "
-                           << priorities.size());
-  std::vector<Delta> deltas;
-  for (std::size_t i = 0; i < priorities.size(); ++i) {
-    if (priorities[i] != base_priorities_[i]) {
-      deltas.push_back(SetPriorityDelta{task_names_[i], priorities[i]});
-    }
-  }
-  Session candidate = session_->speculate(deltas, ilp_jobs);
+  // neighborhood reuse observable in stats() — and derives the
+  // candidate's digest table from the anchor's, recomputing only the
+  // digests of the moved chains.
+  Session candidate = anchor_->speculate(
+      priority_deltas(anchor_priorities_, priorities, task_names_), ilp_jobs);
 
   Objective obj;
   for (const int c : targets_) {
@@ -204,8 +236,25 @@ Objective PipelineEvaluator::score(const std::vector<Priority>& priorities, int 
       stats_.stages[s].shared += diag.stages[s].shared;
       stats_.stages[s].bytes_inserted += diag.stages[s].bytes_inserted;
     }
+    stats_.slices.hits += diag.slices.hits;
+    stats_.slices.misses += diag.slices.misses;
   }
   return obj;
+}
+
+void PipelineEvaluator::move_anchor(const std::vector<Priority>& priorities) {
+  if (priorities == anchor_priorities_ ||
+      !std::is_permutation(priorities.begin(), priorities.end(), anchor_priorities_.begin(),
+                           anchor_priorities_.end())) {
+    return;  // already there, or not a valid assignment: keep the anchor
+  }
+  anchor_ = std::make_unique<Session>(anchor_->speculate(
+      priority_deltas(anchor_priorities_, priorities, task_names_), 1));
+  anchor_priorities_ = priorities;
+  const DigestStats derived = anchor_->stats().slices;
+  const util::MutexLock guard(stats_mutex_);
+  stats_.slices.hits += derived.hits;
+  stats_.slices.misses += derived.misses;
 }
 
 Objective PipelineEvaluator::evaluate(const std::vector<Priority>& priorities) {
@@ -214,6 +263,7 @@ Objective PipelineEvaluator::evaluate(const std::vector<Priority>& priorities) {
 
 std::vector<Objective> PipelineEvaluator::evaluate_many(
     const std::vector<std::vector<Priority>>& candidates) {
+  if (!candidates.empty()) move_anchor(batch_centre(candidates));
   std::vector<Objective> scores(candidates.size());
   // Parallelism across candidates, not inside one candidate's ILP: each
   // index writes its own slot and a candidate's objective is a pure
@@ -225,15 +275,8 @@ std::vector<Objective> PipelineEvaluator::evaluate_many(
 }
 
 EvaluatorStats PipelineEvaluator::stats() const {
-  EvaluatorStats out;
-  {
-    const util::MutexLock guard(stats_mutex_);
-    out = stats_;
-  }
-  // The slice memo is shared by every candidate session; its lifetime
-  // counters live on the base session.
-  out.slices = session_->stats().slices;
-  return out;
+  const util::MutexLock guard(stats_mutex_);
+  return stats_;
 }
 
 // ---------------------------------------------------------------------

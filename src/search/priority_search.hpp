@@ -76,10 +76,10 @@ struct EvaluationSpec {
 struct EvaluatorStats {
   long long evaluations = 0;
   std::array<StageDiagnostics, kArtifactStageCount> stages{};
-  /// Per-chain key-fragment memo reuse (the cross-candidate slice memo
-  /// shared by every speculative candidate session; zero for backends
-  /// that do not cache).
-  SliceCache::Stats slices;
+  /// Digest-table reuse over every candidate and anchor session the
+  /// evaluator derived (digests carried over vs. computed; zero for
+  /// backends that do not cache).
+  DigestStats slices;
 
   [[nodiscard]] std::size_t lookups() const;
   [[nodiscard]] std::size_t hits() const;    ///< served from the store
@@ -114,14 +114,17 @@ class Evaluator {
 
 /// The production backend: scores candidates through wharf::Session —
 /// each candidate is a *delta batch* (one SetPriorityDelta per task the
-/// candidate moves) speculated off a base session against the shared
+/// candidate moves) speculated off an anchor session against the shared
 /// ArtifactStore.  Every candidate session opens its own store epoch, so
-/// reuse across candidates is observable as hits in stats(), and all
-/// candidates share the base session's SliceCache (the cross-candidate
-/// slice memo: a candidate re-serializes only the per-chain key
-/// fragments its deltas touch).  evaluate_many() scores candidates on a
+/// reuse across candidates is observable as hits in stats().  The
+/// anchor starts at the base assignment and evaluate_many() moves it to
+/// the batch's centre (the assignment a pairwise-swap neighbourhood is
+/// built around), so a candidate's digest table derives from a parent
+/// one swap away: O(moved chains × m) digests per candidate.  Scores
+/// never depend on the anchor.  evaluate_many() scores candidates on a
 /// worker pool (`jobs`), with concurrent identical slices shared through
-/// the store's single-flight resolve().
+/// the store's single-flight resolve().  Single caller: evaluate() and
+/// evaluate_many() must not run concurrently on one evaluator.
 class PipelineEvaluator final : public Evaluator {
  public:
   /// Shares `store` (must outlive the evaluator) — the Engine passes its
@@ -147,6 +150,9 @@ class PipelineEvaluator final : public Evaluator {
 
  private:
   [[nodiscard]] Objective score(const std::vector<Priority>& priorities, int ilp_jobs);
+  /// Re-anchors candidate derivation at `priorities` when it is a valid
+  /// assignment (a permutation of the base priorities); else a no-op.
+  void move_anchor(const std::vector<Priority>& priorities);
 
   System base_;
   EvaluationSpec spec_;
@@ -155,11 +161,10 @@ class PipelineEvaluator final : public Evaluator {
   std::unique_ptr<ArtifactStore> owned_store_;  ///< engaged by the owning ctor
   ArtifactStore* store_ = nullptr;
   int jobs_ = 1;
-  /// The base session candidates speculate from (owns the shared
-  /// SliceCache; never mutated itself).
-  std::unique_ptr<Session> session_;
-  std::vector<Priority> base_priorities_;  ///< flat, aligned with task_names_
-  std::vector<std::string> task_names_;    ///< dotted "chain.task" per flat index
+  std::vector<std::string> task_names_;  ///< dotted "chain.task" per flat index
+  /// The session candidates speculate from, and its flat priorities.
+  std::unique_ptr<Session> anchor_;
+  std::vector<Priority> anchor_priorities_;
   mutable util::Mutex stats_mutex_;
   EvaluatorStats stats_ WHARF_GUARDED_BY(stats_mutex_);
 };

@@ -1,11 +1,7 @@
 /// \file hash.hpp
-/// Content hashing for cache keys: 64-bit FNV-1a over byte strings.
-///
-/// The artifact pipeline keys every stage by a canonical serialization of
-/// the model slice the stage reads; the FNV-1a digest of that key is the
-/// compact fingerprint surfaced in diagnostics.  Maps are keyed by the
-/// full string (never the digest alone), so hash collisions can never
-/// serve wrong artifacts.
+/// 64-bit FNV-1a over byte strings: the whole-model fingerprint surfaced
+/// in report diagnostics (ReportDiagnostics::system_hash).  Artifact
+/// store keys are 128-bit SipHash digests instead (core/model_slice.hpp).
 
 #ifndef WHARF_UTIL_HASH_HPP
 #define WHARF_UTIL_HASH_HPP

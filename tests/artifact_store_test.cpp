@@ -168,6 +168,34 @@ TEST(ModelSlice, DmmKeyDependsOnK) {
   EXPECT_NE(dmm_key(sys, kSigmaC, 3, options), dmm_key(sys, kSigmaC, 76, options));
 }
 
+TEST(ArtifactKey, KeyHasherMatchesSipHash128ReferenceVectors) {
+  // SipHash-2-4 with 128-bit output, key 00..0f, message 00 01 .. (n-1):
+  // the reference implementation's published vectors.
+  unsigned char message[64];
+  for (int i = 0; i < 64; ++i) message[i] = static_cast<unsigned char>(i);
+  const std::pair<std::size_t, const char*> vectors[] = {
+      {0, "a3817f04ba25a8e66df67214c7550293"},  {1, "da87c1d86b99af44347659119b22fc45"},
+      {8, "3b62a9ba6258f5610f83e264f31497b4"},  {15, "5493e99933b0a8117e08ec0f97cfc3d9"},
+      {63, "5150d1772f50834a503e069a973fbd7c"},
+  };
+  for (const auto& [length, hex] : vectors) {
+    EXPECT_EQ(KeyHasher().bytes(message, length).finish().to_hex(), hex) << length;
+  }
+  // Field appenders agree with the raw byte stream they frame.
+  EXPECT_EQ(KeyHasher().u64(0x0706050403020100ULL).finish(),
+            KeyHasher().bytes(message, 8).finish());
+}
+
+TEST(ArtifactKey, TextFieldsAreLengthPrefixed) {
+  EXPECT_NE(KeyHasher().text("ab").text("c").finish(), KeyHasher().text("a").text("bc").finish());
+  EXPECT_NE(KeyHasher().text("a").finish(), KeyHasher().text(std::string("a\0", 2)).finish());
+  EXPECT_NE(KeyHasher().u64(1).finish(), KeyHasher().u64(1).u64(0).finish());
+  // Text-named keys (what the store tests above use) digest the text.
+  EXPECT_EQ(ArtifactKey("k1"), ArtifactKey::of_text("k1"));
+  EXPECT_EQ(ArtifactKey(std::string("k1")), ArtifactKey::of_text("k1"));
+  EXPECT_NE(ArtifactKey("k1"), ArtifactKey("k2"));
+}
+
 /// Same three chains, two listing orders.  Keys whose artifacts embed
 /// absolute chain indices (interference context, overload structure)
 /// must pin positions and differ between the orders; the busy-window

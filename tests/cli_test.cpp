@@ -487,6 +487,57 @@ TEST(Cli, ServeSessionsAreIncrementalAcrossDeltas) {
   EXPECT_EQ(lines[3].find(R"("cache_hits":0,)"), std::string::npos) << lines[3];
 }
 
+TEST(Cli, ServeOverloadKeysTrackTargetTailPriorityAcrossSessions) {
+  // Two sessions on one engine: s1 moves b's tail priority (b2 5 -> 3,
+  // its minimum stays b1's), then s2 opens a system that shares s1's
+  // overload slices under a key that reads only b's minimum priority.
+  // `wharf analyze` answers dmm(b, 10) = 10 for s2's system; a stale
+  // overload artifact answered 8.
+  const auto system_text = [](int b2, int a2) {
+    return "system tailprio\n"
+           "chain b kind=sync activation=periodic(1000) deadline=300\n"
+           "  task b1 prio=1 wcet=100\n"
+           "  task b2 prio=" + std::to_string(b2) + " wcet=100\n"
+           "chain a kind=sync activation=sporadic(1500) overload\n"
+           "  task a1 prio=10 wcet=150\n"
+           "  task a2 prio=" + std::to_string(a2) + " wcet=50\n"
+           "  task a3 prio=8 wcet=100\n";
+  };
+  const std::string query = R"("queries":[{"kind":"dmm","chain":"b","ks":[10]}]})";
+  const std::string conversation =
+      R"({"id":1,"type":"open_session","session":"s1","system":")" +
+      io::json_escape(system_text(5, 4)) + "\"}\n" +
+      R"({"id":2,"type":"query","session":"s1",)" + query + "\n" +
+      R"({"id":3,"type":"apply_delta","session":"s1","deltas":[{"kind":"set_priority","task":"b.b2","priority":3}]})"
+      "\n" +
+      R"({"id":4,"type":"query","session":"s1",)" + query + "\n" +
+      R"({"id":5,"type":"open_session","session":"s2","system":")" +
+      io::json_escape(system_text(3, 2)) + "\"}\n" +
+      R"({"id":6,"type":"query","session":"s2",)" + query + "\n";
+  const CliRun r = invoke({"serve"}, conversation);
+  EXPECT_EQ(r.exit_code, 0) << r.err;
+  const std::vector<std::string> lines = lines_of(r.out);
+  ASSERT_EQ(lines.size(), 6u) << r.out;
+
+  const CliRun oneshot = invoke({"dmm", "-", "--chain", "b", "--k", "10"}, system_text(3, 2));
+  EXPECT_EQ(oneshot.exit_code, 0) << oneshot.err;
+  EXPECT_NE(oneshot.out.find("dmm_b(10) = 10 "), std::string::npos) << oneshot.out;
+  EXPECT_NE(lines[5].find(R"("dmm":10,)"), std::string::npos) << lines[5];
+}
+
+TEST(Cli, ServeAnswersTheLineAfterADeeplyNestedOne) {
+  const std::string conversation = std::string(20'000, '[') +
+                                   "\n"
+                                   R"({"id":2,"type":"diagnostics","session":"nope"})"
+                                   "\n";
+  const CliRun r = invoke({"serve"}, conversation);
+  EXPECT_EQ(r.exit_code, 0) << r.err;
+  const std::vector<std::string> lines = lines_of(r.out);
+  ASSERT_EQ(lines.size(), 2u) << r.out;
+  EXPECT_NE(lines[0].find(R"("status":"parse-error")"), std::string::npos) << lines[0];
+  EXPECT_NE(lines[1].find(R"("id":2)"), std::string::npos) << lines[1];
+}
+
 TEST(Cli, ServeShutdownMessageEndsTheLoop) {
   const std::string conversation =
       R"({"id":1,"type":"shutdown"})"

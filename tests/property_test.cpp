@@ -1,6 +1,8 @@
 // Property-based tests on randomized systems: the analytic bounds must
 // dominate every simulated behaviour, the ablation baseline must never
-// beat the improved analysis, and solver/enumeration variants must agree.
+// beat the improved analysis, solver/enumeration variants must agree,
+// and the structural artifact keys must match their canonical encodings
+// (the key audit).
 
 #include <gtest/gtest.h>
 
@@ -10,18 +12,22 @@
 #include <random>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "core/arrival.hpp"
 #include "core/busy_window.hpp"
 #include "core/case_studies.hpp"
+#include "core/model_slice.hpp"
 #include "core/twca.hpp"
 #include "engine/engine.hpp"
+#include "engine/session.hpp"
 #include "gen/random_systems.hpp"
 #include "io/system_format.hpp"
 #include "sim/arrival_sequence.hpp"
 #include "sim/busy_windows.hpp"
 #include "sim/simulator.hpp"
+#include "tests/support/canonical_keys.hpp"
 
 namespace wharf {
 namespace {
@@ -377,6 +383,158 @@ TEST_P(RandomSystemProperties, GranularCacheNeverServesStaleArtifacts) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomSystemProperties, ::testing::Range(0, 24));
+
+// ---------------------------------------------------------------------
+// Key audit: every stage key a session derives incrementally equals the
+// key of the same system built fresh, and keys are equal exactly when
+// the canonical encodings of tests/support/canonical_keys.hpp are.
+// ---------------------------------------------------------------------
+
+constexpr int kArrivalFamilies = 6;
+
+/// One arrival model per library family, scaled to `period`.
+ArrivalModelPtr arrival_of_family(int family, Time period) {
+  switch (family) {
+    case 0: return periodic(period);
+    case 1: return periodic_jitter(period, period / 4);
+    case 2: return sporadic(period);
+    case 3: return delta_curve({period / 2, period + period / 2}, period);
+    case 4:
+      return delta_curve_with_plus({period / 2, period + period / 2}, period,
+                                   {2 * period, 3 * period}, 2 * period);
+    default: return sporadic_burst(2 * period, 2, period / 4);
+  }
+}
+
+/// A random system whose regular chains cycle through every arrival
+/// family, with asynchronous chains and one or two overload chains.
+System audit_system(int seed) {
+  std::mt19937_64 rng(static_cast<std::uint64_t>(seed) * 7919 + 3);
+  gen::RandomSystemSpec spec = property_spec(/*with_async=*/true);
+  spec.max_chains = 5;
+  spec.overload_chains = 1 + seed % 2;
+  const System base = gen::random_system(spec, rng, "audit");
+  std::vector<Chain> chains;
+  int family = seed;
+  for (const Chain& chain : base.chains()) {
+    Chain::Spec chain_spec{chain.name(), chain.kind(),        chain.arrival_ptr(),
+                           chain.deadline(), chain.is_overload(), chain.tasks()};
+    if (!chain.is_overload()) {
+      chain_spec.arrival = arrival_of_family(family++ % kArrivalFamilies,
+                                             chain.arrival().delta_minus(2));
+    }
+    chains.emplace_back(std::move(chain_spec));
+  }
+  return System(base.name(), std::move(chains));
+}
+
+/// A batch of 1-3 random priority swaps against `system`'s current
+/// assignment, as session deltas.
+std::vector<Delta> random_swaps(const System& system, std::mt19937_64& rng) {
+  std::vector<std::string> names;
+  for (const Chain& chain : system.chains()) {
+    for (const Task& task : chain.tasks()) names.push_back(chain.name() + "." + task.name);
+  }
+  std::vector<Priority> priorities = system.flat_priorities();
+  std::uniform_int_distribution<std::size_t> pick(0, priorities.size() - 1);
+  const int swaps = 1 + static_cast<int>(rng() % 3);
+  for (int s = 0; s < swaps; ++s) std::swap(priorities[pick(rng)], priorities[pick(rng)]);
+  std::vector<Delta> deltas;
+  const std::vector<Priority> before = system.flat_priorities();
+  for (std::size_t i = 0; i < priorities.size(); ++i) {
+    if (priorities[i] != before[i]) deltas.push_back(SetPriorityDelta{names[i], priorities[i]});
+  }
+  return deltas;
+}
+
+/// Equal canonical encodings <=> equal digests, over everything recorded.
+struct KeyAudit {
+  std::unordered_map<std::string, ArtifactKey> by_text;
+  std::unordered_map<ArtifactKey, std::string, ArtifactKey::Hash> by_key;
+  long long records = 0;
+
+  void record(const std::string& text, const ArtifactKey& key) {
+    ++records;
+    const auto [text_it, new_text] = by_text.emplace(text, key);
+    EXPECT_EQ(text_it->second, key) << "equal encodings, different digests:\n" << text;
+    const auto [key_it, new_key] = by_key.emplace(key, text);
+    EXPECT_EQ(key_it->second, text) << "equal digests " << key << ", different encodings";
+  }
+};
+
+struct AuditCoverage {
+  long long derived_hits = 0;         ///< digests carried over by derivations
+  long long tail_not_min_targets = 0;  ///< targets whose tail is not their lowest task
+};
+
+/// Checks `session`'s (incrementally derived) table against a fresh
+/// build and records every stage key against its canonical encoding.
+void audit_session(const Session& session, const TwcaOptions& options, KeyAudit& audit,
+                   AuditCoverage& coverage) {
+  const System& sys = session.system();
+  const ModelDigests& derived = session.digests();
+  const ModelDigests fresh(sys);
+  coverage.derived_hits += static_cast<long long>(derived.stats().hits);
+  for (int b = 0; b < sys.size(); ++b) {
+    EXPECT_EQ(derived.content(b), fresh.content(b)) << "content of " << b;
+    for (int a = 0; a < sys.size(); ++a) {
+      if (a == b) continue;
+      EXPECT_EQ(derived.interference(a, b), fresh.interference(a, b)) << a << " -> " << b;
+      EXPECT_EQ(derived.busy_interference(a, b), fresh.busy_interference(a, b))
+          << a << " -> " << b;
+      if (sys.chain(a).is_overload()) {
+        EXPECT_EQ(derived.overload(a, b), fresh.overload(a, b)) << a << " -> " << b;
+      }
+    }
+    if (sys.chain(b).lowest_priority_index() != sys.chain(b).size() - 1) {
+      ++coverage.tail_not_min_targets;
+    }
+    namespace canonical = testsupport::canonical;
+    audit.record(canonical::interference_key(sys, b), interference_key(sys, derived, b));
+    for (const bool without_overload : {false, true}) {
+      audit.record(canonical::busy_window_key(sys, b, options.analysis, without_overload),
+                   busy_window_key(sys, derived, b, options.analysis, without_overload));
+    }
+    const ArtifactKey overload =
+        overload_key(sys, derived, b, options,
+                     busy_window_key(sys, derived, b, options.analysis, false));
+    audit.record(canonical::overload_key(sys, b, options), overload);
+    for (const Count k : {Count{1}, Count{7}}) {
+      audit.record(canonical::dmm_key(sys, b, k, options), dmm_key(k, options, overload));
+    }
+  }
+}
+
+TEST(KeyAudit, DerivedDigestsMatchFreshBuildsAndCanonicalEncodings) {
+  KeyAudit audit;
+  AuditCoverage coverage;
+  for (int seed = 0; seed < 200; ++seed) {
+    TwcaOptions options;
+    options.analysis.naive_arbitrary = seed % 3 == 0;
+    options.minimal_only = seed % 4 != 0;
+    ArtifactStore store;
+    std::mt19937_64 rng(static_cast<std::uint64_t>(seed) + 17);
+    Session current(audit_system(seed), options, store);
+    audit_session(current, options, audit, coverage);
+    // A random chain of priority deltas mixing speculate() (the child
+    // becomes the next parent) and apply().
+    for (int step = 0; step < 8; ++step) {
+      const std::vector<Delta> deltas = random_swaps(current.system(), rng);
+      if (rng() % 2 == 0) {
+        current = current.speculate(deltas);
+      } else {
+        ASSERT_TRUE(current.apply(deltas).is_ok());
+      }
+      audit_session(current, options, audit, coverage);
+    }
+  }
+  // The audit exercised what it claims to: incremental derivations,
+  // tails that are not the lowest-priority task, and collisions of
+  // equal encodings across systems and revisions.
+  EXPECT_GT(coverage.derived_hits, 0);
+  EXPECT_GT(coverage.tail_not_min_targets, 0);
+  EXPECT_LT(static_cast<long long>(audit.by_text.size()), audit.records);
+}
 
 // ---------------------------------------------------------------------------
 // Priority-shuffle sweep on the case study (Experiment 2 soundness):

@@ -228,6 +228,32 @@ TEST(ServeAsync, OversizedLineIsRejectedAndStreamStaysInSync) {
   EXPECT_TRUE(server.join()) << server.err();
 }
 
+TEST(ServeAsync, DeeplyNestedLineIsRejectedAndConnectionKeepsServing) {
+  // 20,000 nested brackets used to overflow the recursive JSON parser's
+  // stack and kill the whole server; now the line gets the protocol
+  // error envelope and the next line on the same connection an answer.
+  Engine engine;
+  AsyncHarness server(engine, {});
+  Client client(server.port());
+  Client bystander(server.port());
+  client.send_line(std::string(20'000, '['));
+  const std::string rejected = client.recv_line();
+  EXPECT_NE(rejected.find(R"("type":"error")"), std::string::npos) << rejected;
+  EXPECT_NE(rejected.find("nesting deeper than"), std::string::npos) << rejected;
+  client.send_line(R"({"id":2,"type":"diagnostics","session":"nope"})");
+  const std::string reply = client.recv_line();
+  EXPECT_NE(reply.find(R"("id":2)"), std::string::npos) << reply;
+  EXPECT_NE(reply.find(R"("status":"not-found")"), std::string::npos) << reply;
+  bystander.send_line(R"({"id":3,"type":"diagnostics","session":"nope"})");
+  EXPECT_NE(bystander.recv_line().find(R"("id":3)"), std::string::npos);
+
+  bystander.close();
+  client.send_line(R"({"type":"shutdown"})");
+  (void)client.recv_line();
+  client.close();
+  EXPECT_TRUE(server.join()) << server.err();
+}
+
 // ---------------------------------------------------------------------
 // Streaming: frames bit-identical to the monolithic report, in order
 // ---------------------------------------------------------------------

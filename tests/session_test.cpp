@@ -11,7 +11,8 @@
 //  * the acceptance telemetry — a 100-delta mutation sweep through one
 //    Session performs strictly fewer busy-window solves than 100
 //    one-shot Engine::analyze calls, with every answer equal;
-//  * the cross-candidate/cross-revision slice memo (SliceCache).
+//  * digest-table reuse across revisions and speculative candidates
+//    (ModelDigests), and cross-session key soundness.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +21,7 @@
 #include <vector>
 
 #include "core/case_studies.hpp"
+#include "core/twca.hpp"
 #include "engine/engine.hpp"
 #include "engine/session.hpp"
 #include "gen/random_systems.hpp"
@@ -496,11 +498,11 @@ TEST(Session, SliceMemoReusesUntouchedChainFragmentsAcrossRevisions) {
   ArtifactStore store;
   Session session(case_study(), {}, store);
   (void)session.serve(standard_queries(session.system(), {10}));
-  const SliceCache::Stats cold = session.stats().slices;
+  const DigestStats cold = session.stats().slices;
   EXPECT_GT(cold.misses, 0u);
 
-  // A priority swap leaves most chains' sub-vectors untouched: re-keying
-  // after the delta reuses their serialized slices.
+  // A priority swap leaves most chains untouched: the derived digest
+  // table carries their digests over.
   const System& sys = session.system();
   const std::string t1 = sys.chain(0).name() + "." + sys.chain(0).task(0).name;
   const std::string t2 = sys.chain(1).name() + "." + sys.chain(1).task(0).name;
@@ -509,19 +511,54 @@ TEST(Session, SliceMemoReusesUntouchedChainFragmentsAcrossRevisions) {
   ASSERT_TRUE(session.apply({SetPriorityDelta{t1, p2}, SetPriorityDelta{t2, p1}}).is_ok());
   (void)session.serve(standard_queries(session.system(), {10}));
 
-  const SliceCache::Stats warm = session.stats().slices;
+  const DigestStats warm = session.stats().slices;
   EXPECT_GT(warm.hits, cold.hits);
 
-  // A structural delta invalidates the memo: the next serve rebuilds.
+  // A structural delta rebuilds the table: every digest is a miss.
   ASSERT_TRUE(session.apply({SetWcetDelta{t1, 1}}).is_ok());
   (void)session.serve(standard_queries(session.system(), {10}));
   EXPECT_GT(session.stats().slices.misses, warm.misses);
 }
 
+/// Two-chain system of the cross-session overload-slice regression:
+/// target `b` (tail b2) and overload chain `a`, whose active segments
+/// w.r.t. `b` depend on b's tail priority, not only on its minimum.
+System tail_priority_system(Priority b2, Priority a2) {
+  return io::parse_system(
+      "system tailprio\n"
+      "chain b kind=sync activation=periodic(1000) deadline=300\n"
+      "  task b1 prio=1 wcet=100\n"
+      "  task b2 prio=" + std::to_string(b2) + " wcet=100\n"
+      "chain a kind=sync activation=sporadic(1500) overload\n"
+      "  task a1 prio=10 wcet=150\n"
+      "  task a2 prio=" + std::to_string(a2) + " wcet=50\n"
+      "  task a3 prio=8 wcet=100\n");
+}
+
+TEST(Session, OverloadKeysTrackTheTargetTailPriorityAcrossSessions) {
+  // Session s1 moves b's tail priority (its minimum stays b1's): the
+  // overload key must change with it.  A key that read only the
+  // minimum priority filed s1's re-keyed overload artifacts under the
+  // old slice, and a second session whose system shares that stale
+  // slice (s2) was then served them: dmm 8 instead of 10.
+  ArtifactStore store;
+  const int b = 0;
+  Session s1(tail_priority_system(5, 4), {}, store);
+  EXPECT_EQ(s1.dmm(b, 10).dmm, TwcaAnalyzer(s1.system()).dmm(b, 10).dmm);
+  ASSERT_TRUE(s1.apply({SetPriorityDelta{"b.b2", 3}}).is_ok());
+  EXPECT_EQ(s1.dmm(b, 10).dmm, TwcaAnalyzer(s1.system()).dmm(b, 10).dmm);
+
+  Session s2(tail_priority_system(3, 2), {}, store);
+  const Count want = TwcaAnalyzer(s2.system()).dmm(b, 10).dmm;
+  EXPECT_EQ(want, 10);
+  EXPECT_EQ(s2.dmm(b, 10).dmm, want);
+}
+
 TEST(Session, EvaluatorSharesSliceMemoAcrossCandidates) {
-  // The cross-candidate slice memo: scoring a neighborhood through the
-  // pipeline evaluator reuses the untouched chains' key fragments, and
-  // the reuse is visible in EvaluatorStats.
+  // Candidate digest tables derive from the neighbourhood's anchor:
+  // scoring a neighborhood through the pipeline evaluator reuses the
+  // untouched chains' digests, and the reuse is visible in
+  // EvaluatorStats.
   ArtifactStore store;
   search::PipelineEvaluator evaluator(case_study(), search::EvaluationSpec{10, {}}, {}, store,
                                       1);

@@ -253,6 +253,31 @@ TEST(StorePersist, VersionMismatchIsDistinguishable) {
   EXPECT_NE(loaded.reason.find("version"), std::string::npos) << loaded.reason;
 }
 
+TEST(StorePersist, FormatVersionOneLoadsCold) {
+  // A version-1 snapshot (interned fragment-id keys behind a string
+  // table) is a clean version mismatch for this build, never corruption
+  // and never a partial load: magic, u32 version 1, an empty string
+  // table, a zero-record footer.
+  ASSERT_EQ(kStoreFormatVersion, 2u);
+  std::string v1("WHARFSTO", 8);
+  v1 += std::string("\x01\x00\x00\x00", 4);
+  v1 += 'S';
+  v1 += std::string(4 + 8 + 4, '\0');  // fragment count, payload length, CRC
+  v1 += 'F';
+  v1 += std::string(8 + 4, '\0');  // record count, CRC
+  TempDir dir;
+  const std::string path = store_snapshot_path(dir.path);
+  write_file(path, v1);
+  ArtifactStore store;
+  const StoreLoadResult loaded = store.load(path);
+  EXPECT_TRUE(loaded.status.is_ok());
+  EXPECT_TRUE(loaded.cold);
+  EXPECT_EQ(loaded.records_loaded, 0u);
+  EXPECT_GT(loaded.records_skipped, 0u);
+  EXPECT_NE(loaded.reason.find("version"), std::string::npos) << loaded.reason;
+  EXPECT_EQ(store.stats().resident_entries, 0u);
+}
+
 TEST(StorePersist, CorruptionFuzzNeverCrashes) {
   TempDir dir;
   const std::string good = pristine_snapshot(dir.path);

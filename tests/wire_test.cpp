@@ -60,6 +60,23 @@ TEST(WireJson, RejectsMalformedDocuments) {
   EXPECT_THROW((void)parse_json("{\"a\":--4}"), ParseError);
 }
 
+TEST(WireJson, BoundsNestingDepth) {
+  const auto arrays = [](int depth) { return std::string(depth, '[') + std::string(depth, ']'); };
+  EXPECT_NO_THROW((void)parse_json(arrays(kMaxJsonDepth)));
+  EXPECT_THROW((void)parse_json(arrays(kMaxJsonDepth + 1)), ParseError);
+  std::string objects;
+  for (int i = 0; i <= kMaxJsonDepth; ++i) objects += R"({"k":)";
+  objects += "1" + std::string(kMaxJsonDepth + 1, '}');
+  EXPECT_THROW((void)parse_json(objects), ParseError);
+  // A line of 20,000 unclosed brackets is a parse error, not a stack
+  // overflow; as a request it becomes the protocol-error envelope.
+  EXPECT_THROW((void)parse_json(std::string(20'000, '[')), ParseError);
+  const Expected<WireRequest> request = parse_request(std::string(20'000, '['));
+  ASSERT_FALSE(request.has_value());
+  EXPECT_NE(wire_protocol_error(request.status()).find(R"("status":"parse-error")"),
+            std::string::npos);
+}
+
 TEST(WireJson, AccessorsEnforceKinds) {
   const JsonValue v = parse_json(R"({"s":"x","n":1.5})");
   EXPECT_THROW((void)v.at("s").as_int(), InvalidArgument);
