@@ -5,13 +5,13 @@
 #include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
+#include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <thread>
 #include <utility>
 
 #include "util/expect.hpp"
@@ -38,8 +38,19 @@ std::vector<std::string> worker_args(const WorkerSpec& spec) {
   return args;
 }
 
-/// (fd, pid) of a freshly opened transport; pid -1 in connect mode.
-using Endpoint = std::pair<int, pid_t>;
+/// A freshly opened transport; pid and pidfd are -1 in connect mode.
+struct Endpoint {
+  int fd = -1;
+  pid_t pid = -1;
+  int pidfd = -1;
+};
+
+/// Waits for `pid` until it is reaped, retrying on signal interruption.
+void wait_blocking(pid_t pid) {
+  int status = 0;
+  while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
+  }
+}
 
 Expected<Endpoint> open_spawn(const WorkerSpec& spec) {
   int sv[2];
@@ -73,7 +84,17 @@ Expected<Endpoint> open_spawn(const WorkerSpec& spec) {
     _exit(127);  // exec failed; the parent sees immediate EOF
   }
   ::close(sv[1]);
-  return Endpoint{sv[0], pid};
+  // Nobody can reap the child before this point, so the pid still names
+  // it.  A pidfd is always close-on-exec: later workers never inherit it.
+  const int pidfd = static_cast<int>(::syscall(SYS_pidfd_open, pid, 0));
+  if (pidfd < 0) {
+    const std::string message = util::cat("pidfd_open(): ", std::strerror(errno));
+    ::close(sv[0]);
+    ::kill(pid, SIGKILL);
+    wait_blocking(pid);
+    return Status::internal(message);
+  }
+  return Endpoint{sv[0], pid, pidfd};
 }
 
 Expected<Endpoint> open_connect(const WorkerSpec& spec) {
@@ -95,7 +116,7 @@ Expected<Endpoint> open_connect(const WorkerSpec& spec) {
     ::close(fd);
     return Status::internal(message);
   }
-  return Endpoint{fd, -1};
+  return Endpoint{fd, -1, -1};
 }
 
 }  // namespace
@@ -110,21 +131,28 @@ std::string self_binary() {
 Expected<WorkerLink> WorkerLink::open(const WorkerSpec& spec) {
   Expected<Endpoint> endpoint = spec.binary.empty() ? open_connect(spec) : open_spawn(spec);
   if (!endpoint.has_value()) return endpoint.status();
-  return WorkerLink(endpoint.value().first, endpoint.value().second);
+  const Endpoint& e = endpoint.value();
+  return WorkerLink(e.fd, e.pid, e.pidfd);
 }
 
-WorkerLink::~WorkerLink() { close_fd(); }
+WorkerLink::~WorkerLink() {
+  close_fd();
+  close_pidfd();
+}
 
 WorkerLink::WorkerLink(WorkerLink&& other) noexcept
     : fd_(std::exchange(other.fd_, -1)),
       pid_(std::exchange(other.pid_, -1)),
+      pidfd_(std::exchange(other.pidfd_, -1)),
       lines_(std::move(other.lines_)) {}
 
 WorkerLink& WorkerLink::operator=(WorkerLink&& other) noexcept {
   if (this != &other) {
     close_fd();
+    close_pidfd();
     fd_ = std::exchange(other.fd_, -1);
     pid_ = std::exchange(other.pid_, -1);
+    pidfd_ = std::exchange(other.pidfd_, -1);
     lines_ = std::move(other.lines_);
   }
   return *this;
@@ -194,25 +222,37 @@ void WorkerLink::kill_now() {
   if (pid_ > 0) ::kill(pid_, SIGKILL);
 }
 
+void WorkerLink::close_pidfd() {
+  if (pidfd_ >= 0) {
+    ::close(pidfd_);
+    pidfd_ = -1;
+  }
+}
+
 void WorkerLink::reap(int grace_ms) {
   if (pid_ <= 0) return;
+  // The pidfd turns readable the moment the child exits, so an exit
+  // inside the grace wakes this wait at once.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(grace_ms);
-  int status = 0;
+  pollfd pfd{pidfd_, POLLIN, 0};
   while (true) {
-    const pid_t done = ::waitpid(pid_, &status, WNOHANG);
-    if (done == pid_ || (done < 0 && errno == ECHILD)) {
-      pid_ = -1;
-      return;
-    }
-    if (std::chrono::steady_clock::now() >= deadline) {
-      ::kill(pid_, SIGKILL);
-      ::waitpid(pid_, &status, 0);
-      pid_ = -1;
-      return;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    const auto left =
+        std::chrono::ceil<std::chrono::milliseconds>(deadline - std::chrono::steady_clock::now())
+            .count();
+    if (left <= 0) break;
+    const int ready = ::poll(&pfd, 1, static_cast<int>(left));
+    if (ready >= 0 || errno != EINTR) break;
   }
+  int status = 0;
+  const pid_t done = ::waitpid(pid_, &status, WNOHANG);
+  // 0: still running past its grace.  ECHILD: reaped elsewhere already.
+  if (done == 0) {
+    ::kill(pid_, SIGKILL);
+    wait_blocking(pid_);
+  }
+  pid_ = -1;
+  close_pidfd();
 }
 
 }  // namespace wharf::dist

@@ -5,8 +5,10 @@
 ///  * **spawn**: fork/exec `<binary> serve` with both stdio ends dup'ed
 ///    onto one AF_UNIX socketpair — the worker speaks the exact stdio
 ///    protocol of `wharf serve`, the coordinator holds the other end.
-///    The child's pid is exposed so fault tests can SIGKILL it and the
-///    coordinator can reap it;
+///    The child's pid is exposed so fault tests can SIGKILL it.  The link
+///    also holds a pidfd for the child (Linux >= 5.3), which turns
+///    readable when the child exits: reap() sleeps on it instead of
+///    polling waitpid(), so reaping a worker costs its exit, not a timer;
 ///  * **connect**: a TCP connection to an already-running
 ///    `wharf serve --listen` worker (possibly on another machine —
 ///    `wharf sweep --connect host:port,...`).
@@ -48,13 +50,17 @@ struct WorkerSpec {
 /// `wharf sweep` finds the binary to spawn its workers from.
 [[nodiscard]] std::string self_binary();
 
-/// One open worker byte stream.  Owns the fd (closed on destruction);
-/// does NOT reap a spawned child — callers own the process lifecycle
-/// (kill_now()/reap() help).  Movable, not copyable.
+/// One open worker byte stream.  Owns the stream fd and, in spawn mode,
+/// the child's pidfd (both closed on destruction); does NOT reap a
+/// spawned child — callers own the process lifecycle (kill_now()/reap()
+/// help).  Movable, not copyable.
 class WorkerLink {
  public:
-  /// Opens a link per `spec` (spawn or connect).  Errors (exec target
-  /// missing, connection refused, ...) come back as a Status.
+  /// Opens a link per `spec` (spawn or connect).  Errors (connection
+  /// refused, no pidfd for the child, ...) come back as a Status; a
+  /// spawned child that cannot get a pidfd is killed and reaped first.
+  /// A missing exec target is not an error here: that child exits at
+  /// once, and the caller reads EOF.
   [[nodiscard]] static Expected<WorkerLink> open(const WorkerSpec& spec);
 
   WorkerLink() = default;
@@ -95,15 +101,21 @@ class WorkerLink {
   /// the coordinator observes the death as EOF.
   void kill_now();
 
-  /// Reaps a spawned child: waits up to `grace_ms` for it to exit, then
-  /// SIGKILLs and waits again.  Returns immediately in connect mode.
+  /// Reaps a spawned child: sleeps on its pidfd until it exits, at most
+  /// `grace_ms`, then SIGKILLs it if it has not and waits for that.
+  /// Returns as soon as the child exits; afterwards pid() is -1 and the
+  /// pidfd is closed.  A child reaped elsewhere already (ECHILD) counts
+  /// as reaped.  Returns immediately in connect mode.
   void reap(int grace_ms);
 
  private:
-  WorkerLink(int fd, pid_t pid) : fd_(fd), pid_(pid) {}
+  WorkerLink(int fd, pid_t pid, int pidfd) : fd_(fd), pid_(pid), pidfd_(pidfd) {}
+
+  void close_pidfd();
 
   int fd_ = -1;
   pid_t pid_ = -1;
+  int pidfd_ = -1;  ///< the child's pidfd (spawn mode), else -1
   io::LineAssembler lines_;
 };
 

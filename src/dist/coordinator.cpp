@@ -117,7 +117,7 @@ class Coordinator {
     } else {
       reactor_.run();
     }
-    for (std::size_t w = 0; w < workers_.size(); ++w) retire(w);
+    retire_all();
     if (!final_status_.is_ok()) return final_status_;
     return assemble();
   }
@@ -182,18 +182,30 @@ class Coordinator {
     return true;
   }
 
-  /// Severs worker `w`'s transport: deregisters the fd, closes it, and
-  /// reaps a spawned child (EOF on its stdin makes `wharf serve` exit
-  /// through the graceful persist path by itself).
-  void detach_link(std::size_t w) {
+  /// Deregisters and closes worker `w`'s stream.  EOF on its stdin makes
+  /// a spawned `wharf serve` exit through the graceful persist path by
+  /// itself.
+  void sever(std::size_t w) {
+    WorkerLink& link = *workers_[w].link;
+    reactor_.remove_fd(link.fd());
+    link.close_fd();
+  }
+
+  /// Reaps a severed worker's child (the wait ends when it exits) and
+  /// drops the link.
+  void drop(std::size_t w) {
     Worker& worker = workers_[w];
-    if (!worker.link) return;
-    reactor_.remove_fd(worker.link->fd());
-    worker.link->close_fd();
     worker.link->reap(/*grace_ms=*/2000);
     worker.link.reset();
     worker.ready = false;
     --live_workers_;
+  }
+
+  /// Severs worker `w`'s transport and reaps its child.
+  void detach_link(std::size_t w) {
+    if (!workers_[w].link) return;
+    sever(w);
+    drop(w);
   }
 
   void on_events(std::size_t w) {
@@ -454,9 +466,16 @@ class Coordinator {
     reactor_.stop();
   }
 
-  void retire(std::size_t w) {
-    if (workers_[w].link) {
-      detach_link(w);
+  /// Ends the sweep's workers: closes every stream first, so all of them
+  /// see EOF and exit concurrently, then reaps each.  Retirement costs
+  /// about the slowest exit, not the sum of them.
+  void retire_all() {
+    for (std::size_t w = 0; w < workers_.size(); ++w) {
+      if (workers_[w].link) sever(w);
+    }
+    for (std::size_t w = 0; w < workers_.size(); ++w) {
+      if (!workers_[w].link) continue;
+      drop(w);
       workers_[w].outstanding.clear();
     }
   }

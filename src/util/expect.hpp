@@ -12,6 +12,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace wharf {
 
@@ -57,16 +58,26 @@ class AnalysisError : public Error {
 
 namespace detail {
 
+/// `__FILE__` without the build machine's directories: the part after
+/// the last "src/" ("core/chain.cpp"), else the file name.  Error
+/// strings reach clients (serve reasons), which must not learn paths.
+inline std::string_view source_path(std::string_view file) {
+  const std::size_t src = file.rfind("src/");
+  if (src != std::string_view::npos) return file.substr(src + 4);
+  const std::size_t slash = file.rfind('/');
+  return slash == std::string_view::npos ? file : file.substr(slash + 1);
+}
+
 [[noreturn]] inline void throw_expect_failure(const char* expr, const char* file, int line,
                                               const std::string& message) {
   std::ostringstream os;
-  os << message << " [" << expr << " at " << file << ':' << line << ']';
+  os << message << " [" << expr << " at " << source_path(file) << ':' << line << ']';
   throw InvalidArgument(os.str());
 }
 
 [[noreturn]] inline void throw_assert_failure(const char* expr, const char* file, int line) {
   std::ostringstream os;
-  os << "internal invariant violated: " << expr << " at " << file << ':' << line;
+  os << "internal invariant violated: " << expr << " at " << source_path(file) << ':' << line;
   throw std::logic_error(os.str());
 }
 

@@ -21,7 +21,7 @@ TEST(Periodic, EtaPlusMatchesCeil) {
   EXPECT_EQ(m->eta_plus(0), 0);
   EXPECT_EQ(m->eta_plus(-5), 0);
   EXPECT_EQ(m->eta_plus(1), 1);
-  EXPECT_EQ(m->eta_plus(200), 1);  // paper-calibrated convention (DESIGN.md)
+  EXPECT_EQ(m->eta_plus(200), 1);  // paper-calibrated convention (core/arrival.hpp)
   EXPECT_EQ(m->eta_plus(201), 2);
   EXPECT_EQ(m->eta_plus(331), 2);
   EXPECT_EQ(m->eta_plus(400), 2);
@@ -148,7 +148,8 @@ TEST(PeriodicJitter, ZeroJitterEqualsPeriodic) {
 // ---------------------------------------------------------------------------
 
 TEST(DeltaCurve, RareOverloadCalibration) {
-  // The curve that reproduces Table II exactly (see DESIGN.md §3).
+  // The curve that reproduces Table II exactly (see `bench_sensitivity` in
+  // docs/benchmarks.md).
   const auto m = delta_curve({700, 15200, 50000}, 35000);
   EXPECT_EQ(m->delta_minus(1), 0);
   EXPECT_EQ(m->delta_minus(2), 700);

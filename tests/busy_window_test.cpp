@@ -1,6 +1,6 @@
 // Unit tests for the busy-window / latency analysis (Theorems 1 and 2,
 // Lemma 3, Eq. 4) — anchored on the paper's Table I values, which we also
-// verified by hand (DESIGN.md §2).
+// verified by hand.
 
 #include <gtest/gtest.h>
 

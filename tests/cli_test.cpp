@@ -9,6 +9,7 @@
 #include "core/case_studies.hpp"
 #include "io/json.hpp"
 #include "io/system_format.hpp"
+#include "io/wire.hpp"
 
 namespace wharf::cli {
 namespace {
@@ -523,6 +524,29 @@ TEST(Cli, ServeOverloadKeysTrackTargetTailPriorityAcrossSessions) {
   EXPECT_EQ(oneshot.exit_code, 0) << oneshot.err;
   EXPECT_NE(oneshot.out.find("dmm_b(10) = 10 "), std::string::npos) << oneshot.out;
   EXPECT_NE(lines[5].find(R"("dmm":10,)"), std::string::npos) << lines[5];
+}
+
+TEST(Cli, ServeErrorReasonsCarryNoBuildPaths) {
+  // A model precondition failure names its source location relative to
+  // src/ (core/chain.cpp:NN), never a directory of the build machine.
+  const std::string system =
+      "system x\n"
+      "chain a kind=sync activation=periodic(100) deadline=90\n"
+      "  task a1 prio=1 wcet=-5\n";
+  const CliRun r = invoke(
+      {"serve"}, R"({"id":1,"type":"open_session","session":"s","system":")" +
+                     io::json_escape(system) + "\"}\n");
+  EXPECT_EQ(r.exit_code, 0) << r.err;
+  const std::vector<std::string> lines = lines_of(r.out);
+  ASSERT_EQ(lines.size(), 1u) << r.out;
+  const io::JsonValue doc = io::parse_json(lines[0]);
+  EXPECT_EQ(doc.at("status").as_string(), "invalid-argument") << lines[0];
+  const std::string reason = doc.at("reason").as_string();
+  EXPECT_NE(reason.find("core/chain.cpp:"), std::string::npos) << reason;
+  EXPECT_EQ(reason.find("/root"), std::string::npos) << reason;
+  EXPECT_EQ(reason.find("/home"), std::string::npos) << reason;
+  EXPECT_EQ(reason.find(" /"), std::string::npos) << reason;
+  EXPECT_NE(reason.front(), '/') << reason;
 }
 
 TEST(Cli, ServeAnswersTheLineAfterADeeplyNestedOne) {

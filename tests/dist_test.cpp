@@ -5,22 +5,29 @@
 // oversized worker response — each asserting the merged report stays
 // bit-identical to the 1-worker / in-process oracle.  Plus the
 // randomized differential sweep (random systems x worker counts x kill
-// schedules) and the periodic-persist regression: a killed worker must
-// leave a snapshot its respawn warm-starts from.
+// schedules), the periodic-persist regression (a killed worker must
+// leave a snapshot its respawn warm-starts from), and the worker
+// lifecycle: reap() wakes on exit, kills a worker past its grace, and a
+// sweep leaves no fd behind.
 
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <functional>
+#include <iterator>
 #include <random>
 #include <sstream>
 #include <string>
@@ -90,6 +97,18 @@ void expect_identical(const SweepOutcome& outcome, const search::Objective& nomi
   EXPECT_EQ(outcome.result.best_objective.total_dmm, oracle.best_objective.total_dmm);
   EXPECT_EQ(outcome.result.best_objective.total_wcl, oracle.best_objective.total_wcl);
   EXPECT_EQ(outcome.result.evaluations, oracle.evaluations);
+}
+
+/// The number of fds this process holds open.
+std::ptrdiff_t open_fd_count() {
+  return std::distance(std::filesystem::directory_iterator("/proc/self/fd"),
+                       std::filesystem::directory_iterator());
+}
+
+/// True once `pid` is no child of this process (reaped, no zombie left).
+bool reaped(pid_t pid) {
+  int status = 0;
+  return ::waitpid(pid, &status, WNOHANG) == -1 && errno == ECHILD;
 }
 
 /// A scratch --store-dir family root with recursive cleanup (worker
@@ -323,12 +342,16 @@ TEST(DistFaults, SigkilledWorkerMidUnitRespawnsAndStaysIdentical) {
   kill.after_units = 2;
   sweep.faults.push_back(kill);
 
+  const std::ptrdiff_t fds_before = open_fd_count();
   const Expected<SweepOutcome> outcome = run_sweep(system, {}, candidates, {spec}, sweep);
   ASSERT_TRUE(outcome) << outcome.status().to_string();
   expect_identical(outcome.value(), nominal, oracle);
   EXPECT_GE(outcome.value().telemetry.worker_deaths, 1);
   EXPECT_GE(outcome.value().telemetry.worker_restarts, 1);
   EXPECT_EQ(outcome.value().telemetry.protocol_errors, 0);
+  // The killed worker's stream and pidfd went with it, the respawn's at
+  // retirement.
+  EXPECT_EQ(open_fd_count(), fds_before);
 }
 
 TEST(DistFaults, CoordinatorSideDisconnectReissuesAndStaysIdentical) {
@@ -349,12 +372,14 @@ TEST(DistFaults, CoordinatorSideDisconnectReissuesAndStaysIdentical) {
   sweep.faults.push_back(drop);
 
   const std::vector<WorkerSpec> workers(2, spawn_spec());
+  const std::ptrdiff_t fds_before = open_fd_count();
   const Expected<SweepOutcome> outcome = run_sweep(system, {}, candidates, workers, sweep);
   ASSERT_TRUE(outcome) << outcome.status().to_string();
   expect_identical(outcome.value(), nominal, oracle);
   // The disconnect is synchronous, so the death is always observed.
   EXPECT_GE(outcome.value().telemetry.worker_deaths, 1);
   EXPECT_GE(outcome.value().telemetry.worker_restarts, 1);
+  EXPECT_EQ(open_fd_count(), fds_before);
 }
 
 TEST(DistFaults, HungWorkerUnitsReissueOnDeadline) {
@@ -519,6 +544,65 @@ TEST(DistFaults, UnstartableWorkerBinaryFailsCleanly) {
   // and the sweep reports exhaustion instead of spinning forever.
   ASSERT_FALSE(outcome.has_value());
   EXPECT_EQ(outcome.status().code(), StatusCode::kResourceExhausted);
+}
+
+// ---------------------------------------------------------------------
+// Worker lifecycle
+// ---------------------------------------------------------------------
+
+TEST(DistLifecycle, ReapWakesOnExit) {
+  Expected<WorkerLink> opened = WorkerLink::open(spawn_spec());
+  ASSERT_TRUE(opened) << opened.status().to_string();
+  WorkerLink worker = std::move(opened.value());
+  const pid_t pid = worker.pid();
+  ASSERT_GT(pid, 0);
+  // EOF on stdin: `wharf serve` exits by itself, well inside the grace.
+  worker.close_fd();
+  worker.reap(/*grace_ms=*/5000);
+  EXPECT_EQ(worker.pid(), -1);
+  EXPECT_TRUE(reaped(pid));
+}
+
+TEST(DistLifecycle, ReapKillsAWorkerPastItsGrace) {
+  // A stand-in worker that announces itself, then ignores EOF on its
+  // stdin: only the SIGKILL past the grace ends it.
+  TempDir dir;
+  const std::string script = util::cat(dir.path, "/stubborn-worker");
+  {
+    std::ofstream out(script);
+    out << "#!/bin/sh\necho started\nexec sleep 30\n";
+  }
+  ASSERT_EQ(::chmod(script.c_str(), 0755), 0);
+  WorkerSpec spec;
+  spec.binary = script;
+
+  Expected<WorkerLink> opened = WorkerLink::open(spec);
+  ASSERT_TRUE(opened) << opened.status().to_string();
+  WorkerLink worker = std::move(opened.value());
+  const pid_t pid = worker.pid();
+  Expected<std::string> started = worker.read_line(20000);
+  ASSERT_TRUE(started) << started.status().to_string();
+  EXPECT_EQ(started.value(), "started");
+
+  worker.close_fd();
+  const auto begin = std::chrono::steady_clock::now();
+  worker.reap(/*grace_ms=*/200);
+  EXPECT_LT(std::chrono::steady_clock::now() - begin, std::chrono::seconds(2));
+  EXPECT_EQ(worker.pid(), -1);
+  EXPECT_TRUE(reaped(pid));
+}
+
+TEST(DistLifecycle, SweepLeavesNoFds) {
+  const System system = tiny_system();
+  const std::vector<std::vector<Priority>> candidates = search::exhaustive_candidates(system);
+  SweepOptions sweep;
+  sweep.k = 5;
+  sweep.unit_size = 1;
+  const std::vector<WorkerSpec> workers(2, spawn_spec());
+  const std::ptrdiff_t fds_before = open_fd_count();
+  const Expected<SweepOutcome> outcome = run_sweep(system, {}, candidates, workers, sweep);
+  ASSERT_TRUE(outcome) << outcome.status().to_string();
+  EXPECT_EQ(open_fd_count(), fds_before);
 }
 
 // ---------------------------------------------------------------------
