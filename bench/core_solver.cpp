@@ -38,6 +38,7 @@
 #include "gen/random_systems.hpp"
 #include "io/json.hpp"
 #include "io/tables.hpp"
+#include "oracles/busy_window_reference.hpp"
 #include "tests/support/saturated_system.hpp"
 #include "util/stopwatch.hpp"
 #include "util/strings.hpp"

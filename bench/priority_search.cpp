@@ -151,10 +151,11 @@ void emit_bench_json(const char* variant, const Outcome& o, double speedup, bool
   w.value(static_cast<long long>(o.stats.stages[kBusyWindowStage].lookups));
   w.key("busy_window_misses");
   w.value(static_cast<long long>(o.stats.stages[kBusyWindowStage].misses));
+  const StageDiagnostics store = total(o.stats.stages);
   w.key("store_hits");
-  w.value(static_cast<long long>(o.stats.hits()));
+  w.value(static_cast<long long>(store.hits));
   w.key("store_misses");
-  w.value(static_cast<long long>(o.stats.misses()));
+  w.value(static_cast<long long>(store.misses));
   w.key("slice_hits");
   w.value(static_cast<long long>(o.stats.slices.hits));
   w.key("slice_misses");
@@ -232,9 +233,10 @@ void print_strategy_table() {
   io::TextTable table({"strategy", "evaluations", "best objective", "store hits/misses"});
   for (std::size_t i = 0; i < labels.size(); ++i) {
     const auto& answer = std::get<SearchAnswer>(report.results[i].answer);
+    const StageDiagnostics store = total(answer.stats.stages);
     table.add_row({labels[i], util::cat(answer.result.evaluations),
                    objective_string(answer.result.best_objective),
-                   util::cat(answer.stats.hits(), "/", answer.stats.misses())});
+                   util::cat(store.hits, "/", store.misses)});
   }
   std::cout << table.render();
   std::cout << "Hill climbing reaches zero-miss assignments with modest budgets; the\n"

@@ -1,12 +1,11 @@
 // Async-serve benchmark: ~1k lockstep slow loopback clients — every
 // request line dribbled in slices from ONE single-threaded multiplexed
-// driver — against the epoll reactor core (net::AsyncServer), versus
-// the historical thread-per-connection listener on the same workload.
+// driver — against the epoll reactor core (net::AsyncServer).
 //
-// What the reactor buys:
+// What the reactor must deliver:
 //  * flat threads — serving N slow clients costs the same fixed thread
-//    count (reactor + pool); the threaded baseline pays one OS thread
-//    per live connection ("thread_growth" ≈ its client count);
+//    count (reactor + pool), so "thread_growth" stays near zero
+//    whatever the client count;
 //  * nothing lost, nothing reordered — every client gets every
 //    response, bit-identical to the same conversation serialized
 //    through serve_stream on a fresh engine.
@@ -100,7 +99,7 @@ long raise_fd_limit() {
 // The multiplexed lockstep driver
 // ---------------------------------------------------------------------
 
-/// Outcome of one driver run against one listener variant.
+/// Outcome of one driver run against the reactor.
 struct Outcome {
   int clients = 0;
   double seconds = 0;
@@ -239,7 +238,7 @@ Outcome run_lockstep(int port, int clients, const std::vector<std::string>& line
 // ---------------------------------------------------------------------
 
 /// The same conversation serialized through serve_stream on a fresh
-/// engine: the bit-identity oracle for every client of every variant.
+/// engine: the bit-identity oracle for every client.
 std::string oracle() {
   std::ostringstream text;
   for (const std::string& line : conversation()) text << line << '\n';
@@ -271,31 +270,6 @@ Outcome run_async(int clients, const std::string& oracle_results) {
   std::ostringstream err;
   net::AsyncServer server(engine, listener.value(), options, err);
   std::thread loop([&] { (void)server.serve(); });
-  Outcome outcome = run_lockstep(port, clients, conversation(), oracle_results);
-
-  {
-    // Scoped: the server only exits once every connection (including
-    // the closer's) is gone.
-    testsupport::ServeClient closer(port);
-    (void)closer.roundtrip(R"({"type":"shutdown"})");
-  }
-  loop.join();
-  return outcome;
-}
-
-/// The historical connection-per-thread listener on the same workload.
-Outcome run_threaded(int clients, const std::string& oracle_results) {
-  Engine engine;
-  int port = 0;
-  const Expected<int> listener = cli::bind_serve_socket(0, port);
-  if (!listener) {
-    std::cerr << "bench: " << listener.status().to_string() << "\n";
-    std::exit(1);
-  }
-  std::ostringstream err;
-  std::thread loop([&, fd = listener.value()] {
-    (void)cli::serve_listener_threaded(engine, fd, clients + 8, err);
-  });
   Outcome outcome = run_lockstep(port, clients, conversation(), oracle_results);
 
   {
@@ -352,41 +326,24 @@ void print_tables() {
   // keep half the limit in reserve for the process itself.
   const int async_clients = env_int(
       "WHARF_BENCH_CLIENTS", static_cast<int>(std::clamp(fd_limit / 4 - 64, 16L, 1000L)));
-  // The threaded baseline pays a whole OS thread per client: cap it so
-  // the contrast is visible without melting the runner.
-  const int threaded_clients = std::min(async_clients, 128);
 
   const std::string oracle_results = oracle();
-  Outcome async_outcome = run_async(async_clients, oracle_results);
-  const Outcome threaded_outcome = run_threaded(threaded_clients, oracle_results);
+  const Outcome outcome = run_async(async_clients, oracle_results);
 
   std::cout << "=== wharf serve: " << async_clients
-            << " lockstep slow clients, epoll reactor vs thread-per-connection ===\n";
+            << " lockstep slow clients on the epoll reactor ===\n";
   io::TextTable table({"variant", "clients", "responses", "lost", "seconds", "req/s",
                        "base threads", "peak threads", "growth"});
-  table.add_row({"async (reactor + fixed pool)", util::cat(async_outcome.clients),
-                 util::cat(async_outcome.responses), util::cat(async_outcome.lost_responses),
-                 util::cat(async_outcome.seconds), util::cat(async_outcome.requests_per_sec()),
-                 util::cat(async_outcome.base_threads), util::cat(async_outcome.peak_threads),
-                 util::cat(async_outcome.thread_growth())});
-  table.add_row({"threaded (connection-per-thread)", util::cat(threaded_outcome.clients),
-                 util::cat(threaded_outcome.responses),
-                 util::cat(threaded_outcome.lost_responses),
-                 util::cat(threaded_outcome.seconds),
-                 util::cat(threaded_outcome.requests_per_sec()),
-                 util::cat(threaded_outcome.base_threads),
-                 util::cat(threaded_outcome.peak_threads),
-                 util::cat(threaded_outcome.thread_growth())});
+  table.add_row({"async (reactor + fixed pool)", util::cat(outcome.clients),
+                 util::cat(outcome.responses), util::cat(outcome.lost_responses),
+                 util::cat(outcome.seconds), util::cat(outcome.requests_per_sec()),
+                 util::cat(outcome.base_threads), util::cat(outcome.peak_threads),
+                 util::cat(outcome.thread_growth())});
   std::cout << table.render();
-  std::cout << "async thread growth: " << async_outcome.thread_growth()
-            << " (flat); threaded thread growth: " << threaded_outcome.thread_growth()
-            << " for " << threaded_outcome.clients
-            << " clients; answers bit-identical: "
-            << (async_outcome.identical && threaded_outcome.identical ? "yes" : "NO — BUG")
-            << "\n\n";
+  std::cout << "async thread growth: " << outcome.thread_growth()
+            << "; answers bit-identical: " << (outcome.identical ? "yes" : "NO — BUG") << "\n\n";
 
-  emit_bench_json("async", async_outcome);
-  emit_bench_json("threaded", threaded_outcome);
+  emit_bench_json("async", outcome);
 }
 
 void BM_AsyncLockstep(benchmark::State& state) {

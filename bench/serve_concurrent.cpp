@@ -1,6 +1,6 @@
 // Concurrent-serve benchmark: N TCP loopback clients replaying the same
 // delta/query sweep against ONE `wharf serve` listener (shared Engine +
-// ArtifactStore, connection-per-thread) versus the same N conversations
+// ArtifactStore, the async serve core) versus the same N conversations
 // serialized on independent engines (the "N separate servers"
 // deployment).
 //

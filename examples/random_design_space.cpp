@@ -106,8 +106,8 @@ int main(int argc, char** argv) {
             << synthesized.result.best_objective.chains_missing
             << ", total dmm(10) = " << synthesized.result.best_objective.total_dmm
             << ", total WCL = " << synthesized.result.best_objective.total_wcl << '\n';
-  std::cout << "Candidates scored through the engine's artifact store: "
-            << synthesized.stats.hits() << " stage artifacts reused, "
-            << synthesized.stats.misses() << " computed.\n";
+  const StageDiagnostics store = total(synthesized.stats.stages);
+  std::cout << "Candidates scored through the engine's artifact store: " << store.hits
+            << " stage artifacts reused, " << store.misses << " computed.\n";
   return 0;
 }

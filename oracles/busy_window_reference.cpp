@@ -8,7 +8,7 @@
 
 #include <algorithm>
 
-#include "core/busy_window.hpp"
+#include "oracles/busy_window_reference.hpp"
 #include "util/expect.hpp"
 #include "util/strings.hpp"
 

@@ -537,8 +537,9 @@ int cmd_search(const Options& options, std::istream& in, std::ostream& out, std:
   out << "priorities (flat task order):";
   for (Priority p : answer.result.best_priorities) out << ' ' << p;
   out << '\n';
-  out << "store: " << answer.stats.hits() << " hits / " << answer.stats.misses()
-      << " misses / " << answer.stats.shared() << " shared\n";
+  const StageDiagnostics store = total(answer.stats.stages);
+  out << "store: " << store.hits << " hits / " << store.misses << " misses / " << store.shared
+      << " shared\n";
   return kOk;
 }
 

@@ -7,28 +7,19 @@
 
 #include <atomic>
 #include <cerrno>
+#include <csignal>
 #include <istream>
-#include <list>
 #include <ostream>
 #include <string>
-#include <thread>
-#include <utility>
 
 #include "io/wire.hpp"
 #include "net/server.hpp"
 #include "net/service.hpp"
-#include "util/mutex.hpp"
 #include "util/strings.hpp"
-#include "util/thread_annotations.hpp"
 
 namespace wharf::cli {
 
 namespace {
-
-int default_max_connections() {
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 4 : static_cast<int>(hw);
-}
 
 /// True for whitespace-only request lines (skipped, not answered).
 bool blank_line(const std::string& line) {
@@ -41,7 +32,8 @@ bool blank_line(const std::string& line) {
 // Public surface
 // ---------------------------------------------------------------------
 
-bool serve_stream(Engine& engine, std::istream& in, std::ostream& out, ServeTelemetry* server) {
+bool serve_stream(Engine& engine, std::istream& in, std::ostream& out,
+                  net::ServeTelemetry* server) {
   net::Conversation conversation;
   conversation.engine = &engine;
   conversation.server = server;
@@ -140,121 +132,6 @@ int serve_listener(Engine& engine, int listener_fd, int max_connections, std::os
   return server.serve() ? 0 : kTransportError;
 }
 
-// ---------------------------------------------------------------------
-// Thread-per-connection baseline (bench comparison only)
-// ---------------------------------------------------------------------
-
-namespace {
-
-/// Shared state of one threaded listener: the shutdown latch and the
-/// bounded connection-slot accounting the accept loop blocks on.
-struct ListenerState {
-  std::atomic<bool> shutdown{false};
-  util::Mutex mutex;
-  util::CondVar slot_cv;
-  int active WHARF_GUARDED_BY(mutex) = 0;  ///< live connections (the cv predicate)
-};
-
-/// One accepted connection: its serving thread plus a done flag the
-/// accept loop uses to reap finished threads without blocking.
-struct Connection {
-  std::thread thread;
-  std::atomic<bool> done{false};
-};
-
-/// Joins and erases every finished connection (keeps the pool list
-/// bounded by the number of *live* connections on long-running servers).
-void reap_finished(std::list<Connection>& connections) {
-  for (auto it = connections.begin(); it != connections.end();) {
-    if (it->done.load(std::memory_order_acquire)) {
-      it->thread.join();
-      it = connections.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-}  // namespace
-
-int serve_listener_threaded(Engine& engine, int listener_fd, int max_connections,
-                            std::ostream& err) {
-  if (max_connections <= 0) max_connections = default_max_connections();
-
-  ListenerState state;
-  ServeTelemetry telemetry;
-  std::list<Connection> connections;
-  int result = 0;
-
-  while (true) {
-    {
-      // Bound the pool: accept only when a connection slot is free (a
-      // queued client waits in the listen backlog, never dropped).
-      const util::MutexLock lock(state.mutex);
-      while (state.active >= max_connections &&
-             !state.shutdown.load(std::memory_order_acquire)) {
-        state.slot_cv.wait(state.mutex);
-      }
-    }
-    if (state.shutdown.load(std::memory_order_acquire)) break;
-    reap_finished(connections);
-
-    const int client = ::accept(listener_fd, nullptr, nullptr);
-    if (client < 0) {
-      if (state.shutdown.load(std::memory_order_acquire)) break;  // woken by shutdown
-      if (errno == EINTR || errno == ECONNABORTED) continue;
-      err << "serve: accept(): " << util::errno_message(errno) << "\n";
-      result = kTransportError;
-      break;
-    }
-    if (state.shutdown.load(std::memory_order_acquire)) {
-      // Shutdown raced the accept: stop accepting, drop the newcomer.
-      ::close(client);
-      break;
-    }
-
-    {
-      const util::MutexLock lock(state.mutex);
-      ++state.active;
-    }
-    telemetry.connections_served.fetch_add(1, std::memory_order_relaxed);
-    telemetry.connections_active.fetch_add(1, std::memory_order_relaxed);
-
-    connections.emplace_back();
-    Connection& connection = connections.back();
-    connection.thread = std::thread([&engine, &state, &telemetry, &connection, client,
-                                     listener_fd] {
-      {
-        io::FdStreambuf buffer(client);
-        std::istream in(&buffer);
-        std::ostream out(&buffer);
-        if (serve_stream(engine, in, out, &telemetry)) {
-          // This client asked for shutdown: latch it and kick the
-          // accept loop awake (the listener stops accepting; sibling
-          // connections drain at their own pace).
-          state.shutdown.store(true, std::memory_order_release);
-          ::shutdown(listener_fd, SHUT_RDWR);
-        }
-      }
-      telemetry.connections_active.fetch_sub(1, std::memory_order_relaxed);
-      {
-        const util::MutexLock lock(state.mutex);
-        --state.active;
-      }
-      connection.done.store(true, std::memory_order_release);
-      state.slot_cv.notify_all();
-    });
-  }
-
-  // Drain: every live connection keeps being served until its client
-  // disconnects or asks for shutdown; only then does the process exit.
-  for (Connection& connection : connections) {
-    if (connection.thread.joinable()) connection.thread.join();
-  }
-  ::close(listener_fd);
-  return result;
-}
-
 namespace {
 
 /// Graceful-exit spill: persists the engine's store to --store-dir (a
@@ -273,6 +150,10 @@ void spill_store(Engine& engine, std::ostream& err) {
 int cmd_serve(int jobs, std::size_t cache_bytes, const std::string& store_dir,
               long long persist_interval_ms, int listen_port, int max_connections,
               std::istream& in, std::ostream& out, std::ostream& err) {
+  // A reader that goes away must fail the write (EPIPE), not kill the
+  // process: the stdio path then spills the store and exits
+  // kTransportError.  The TCP core already sends with MSG_NOSIGNAL.
+  (void)std::signal(SIGPIPE, SIG_IGN);
   if (persist_interval_ms < 0) {
     persist_interval_ms = store_dir.empty() ? 0 : kDefaultServePersistIntervalMs;
   }
@@ -281,7 +162,7 @@ int cmd_serve(int jobs, std::size_t cache_bytes, const std::string& store_dir,
   if (listen_port < 0) {
     // stdio mode is one implicit connection; diagnostics still report
     // the server object so the response shape matches TCP mode.
-    ServeTelemetry telemetry;
+    net::ServeTelemetry telemetry;
     telemetry.connections_served.store(1, std::memory_order_relaxed);
     telemetry.connections_active.store(1, std::memory_order_relaxed);
     serve_stream(engine, in, out, &telemetry);

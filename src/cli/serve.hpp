@@ -4,13 +4,16 @@
 /// the request handling, engine/session.hpp does the work).  The full
 /// protocol specification lives in docs/serve-protocol.md.
 ///
-/// Transport modes:
+/// Transport modes (the only two; each has one serving loop):
 ///  * stdio (default) — one conversation on stdin/stdout until EOF or a
-///    shutdown request;
+///    shutdown request (serve_stream).  A reader that goes away fails
+///    the write with EPIPE (cmd_serve ignores SIGPIPE), so the store
+///    still spills and the process exits 4;
 ///  * TCP (`--listen PORT`) — 127.0.0.1 socket served by the async core
-///    (net/server.hpp): one epoll reactor thread plus a fixed worker
-///    pool, serving **any number of concurrent connections** with
-///    `--max-connections` as the global in-flight *request* budget.
+///    (net/server.hpp, serve_listener): one epoll reactor thread plus a
+///    fixed worker pool, serving **any number of concurrent
+///    connections** with `--max-connections` as the global in-flight
+///    *request* budget.
 ///    Each connection owns its sessions; all connections share one
 ///    Engine/ArtifactStore, so identical lookups from different clients
 ///    coalesce through the store's single-flight table and repeat
@@ -44,10 +47,6 @@ namespace wharf::cli {
 /// errors, unwritable stdio output stream).
 inline constexpr int kTransportError = 4;
 
-/// The serve counters live with the transport-independent handlers now
-/// (net/service.hpp); the alias keeps the historical spelling working.
-using ServeTelemetry = net::ServeTelemetry;
-
 /// Runs one NDJSON conversation on `in`/`out` (sessions live for the
 /// conversation; `engine` provides the shared store and jobs; `server`,
 /// when given, is reported in diagnostics responses and collects the
@@ -61,7 +60,7 @@ using ServeTelemetry = net::ServeTelemetry;
 /// sibling conversations: concurrent serve_stream calls may share one
 /// `engine`.
 bool serve_stream(Engine& engine, std::istream& in, std::ostream& out,
-                  ServeTelemetry* server = nullptr);
+                  net::ServeTelemetry* server = nullptr);
 
 /// Binds a listening TCP socket on 127.0.0.1:`port` (0 picks an
 /// ephemeral port, reported via `bound_port`).  Returns the listener fd.
@@ -77,13 +76,6 @@ Expected<int> bind_serve_socket(int port, int& bound_port);
 /// disconnect, then the listener closes and 0 is returned.  Returns
 /// kTransportError only when accept() itself fails fatally.
 int serve_listener(Engine& engine, int listener_fd, int max_connections, std::ostream& err);
-
-/// The PR-5 connection-per-thread listener, kept as the comparison
-/// baseline for bench/serve_async.cpp (thread count grows with the
-/// connection count — exactly the scaling the reactor removes).  Same
-/// contract as serve_listener.
-int serve_listener_threaded(Engine& engine, int listener_fd, int max_connections,
-                            std::ostream& err);
 
 /// Default periodic-persist interval of a serve worker with a
 /// --store-dir (milliseconds): frequent enough that a SIGKILL'ed sweep

@@ -2,9 +2,9 @@
 /// Data-oriented busy-window kernel (PR 7).
 ///
 /// The public semantics are unchanged from the pre-flattening
-/// implementation (preserved in busy_window_reference.cpp as the
-/// bit-identity oracle); what changed is how the Eq. (1) right-hand side
-/// is evaluated:
+/// implementation (preserved in oracles/busy_window_reference.cpp as
+/// the bit-identity oracle); what changed is how the Eq. (1) right-hand
+/// side is evaluated:
 ///  * every interfering chain is flattened once per analysis into an
 ///    InterfererRow — a handful of scalars plus a pointer to its flat
 ///    ArrivalTable — so the fixed-point loop is a branch-light scan over

@@ -93,13 +93,6 @@ struct Engine::Impl {
   /// read-only afterwards (so lock-free access is safe).
   PersistenceStats persistence;
 
-  /// Engine-lifetime lookup totals, accumulated from per-request
-  /// diagnostics after every served request.
-  util::Mutex totals_mutex;
-  std::size_t total_hits WHARF_GUARDED_BY(totals_mutex) = 0;
-  std::size_t total_misses WHARF_GUARDED_BY(totals_mutex) = 0;
-  std::size_t total_shared WHARF_GUARDED_BY(totals_mutex) = 0;
-
   /// Periodic persist-on-idle (EngineOptions::persist_interval_ms): one
   /// background thread that re-spills the snapshot whenever artifacts
   /// were inserted since the last save, so an abruptly killed process
@@ -172,14 +165,6 @@ struct Engine::Impl {
       if (save_snapshot().status.is_ok()) last_saved = inserted;
     }
   }
-
-  /// Folds one served report into the engine-lifetime totals.
-  void accumulate(const AnalysisReport& report) WHARF_EXCLUDES(totals_mutex) {
-    const util::MutexLock guard(totals_mutex);
-    total_hits += report.diagnostics.cache_hits + report.diagnostics.search_hits;
-    total_misses += report.diagnostics.cache_misses + report.diagnostics.search_misses;
-    total_shared += report.diagnostics.cache_shared + report.diagnostics.search_shared;
-  }
 };
 
 Engine::Engine(EngineOptions options) : impl_(std::make_unique<Impl>(std::move(options))) {}
@@ -196,9 +181,7 @@ Session Engine::open_session(System system, TwcaOptions options) {
 AnalysisReport Engine::run(const AnalysisRequest& request) {
   // One-shot adapter: an ephemeral session serves the whole request.
   Session session(request.system, request.options, impl_->store, impl_->options.jobs);
-  AnalysisReport report = session.serve(request.queries);
-  impl_->accumulate(report);
-  return report;
+  return session.serve(request.queries);
 }
 
 std::vector<AnalysisReport> Engine::run_batch(const std::vector<AnalysisRequest>& requests) {
@@ -235,27 +218,11 @@ std::vector<AnalysisReport> Engine::run_batch(const std::vector<AnalysisRequest>
 
   for (std::size_t i = 0; i < requests.size(); ++i) {
     reports[i] = sessions[i].collect(std::move(results[i]));
-    impl_->accumulate(reports[i]);
   }
   return reports;
 }
 
-Engine::CacheStats Engine::cache_stats() const {
-  const ArtifactStore::Stats stats = impl_->store.stats();
-  Engine::CacheStats out;
-  out.evictions = stats.evictions;
-  out.entries = stats.resident_entries;
-  out.resident_bytes = stats.resident_bytes;
-  const util::MutexLock guard(impl_->totals_mutex);
-  out.hits = impl_->total_hits;
-  out.misses = impl_->total_misses;
-  out.shared = impl_->total_shared;
-  return out;
-}
-
 ArtifactStore::Stats Engine::store_stats() const { return impl_->store.stats(); }
-
-void Engine::clear_cache() { impl_->store.clear(); }
 
 const Engine::PersistenceStats& Engine::persistence_stats() const { return impl_->persistence; }
 
@@ -400,16 +367,17 @@ void write_answer(io::JsonWriter& w, const QueryResult& result) {
           w.begin_array();
           for (const Priority p : a.result.best_priorities) w.value(p);
           w.end_array();
+          const StageDiagnostics store = total(a.stats.stages);
           w.key("store");
           w.begin_object();
           w.key("lookups");
-          w.value(static_cast<long long>(a.stats.lookups()));
+          w.value(static_cast<long long>(store.lookups));
           w.key("hits");
-          w.value(static_cast<long long>(a.stats.hits()));
+          w.value(static_cast<long long>(store.hits));
           w.key("misses");
-          w.value(static_cast<long long>(a.stats.misses()));
+          w.value(static_cast<long long>(store.misses));
           w.key("shared");
-          w.value(static_cast<long long>(a.stats.shared()));
+          w.value(static_cast<long long>(store.shared));
           w.end_object();
         } else if constexpr (std::is_same_v<A, PathLatencyAnswer>) {
           w.key("query");

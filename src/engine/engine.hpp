@@ -22,8 +22,7 @@
 ///    weight (EngineOptions::cache_bytes).  Near-identical systems — a
 ///    design-space sweep mutating one chain at a time — share every
 ///    artifact the mutation does not touch.  Effectiveness is
-///    observable per stage via ReportDiagnostics / cache_stats() /
-///    store_stats().
+///    observable per stage via ReportDiagnostics / store_stats().
 ///
 /// TwcaAnalyzer remains the internal engine core and stays available for
 /// code that wants lower-level control (ablation studies, custom loops).
@@ -248,7 +247,7 @@ struct ReportDiagnostics {
   std::size_t cache_shared = 0;
   std::size_t queries_failed = 0;
   /// Per-stage lookup/hit/miss/weight breakdown of this request.
-  std::array<StageDiagnostics, kArtifactStageCount> stages{};
+  StageCounters stages{};
   /// Search-layer telemetry, summed over this request's priority-search
   /// queries (candidate evaluations score in per-candidate epochs, so
   /// their reuse is tracked here instead of in `stages`).
@@ -345,9 +344,6 @@ class Engine {
   /// (bit-identical results for any jobs/cache_bytes).
   [[nodiscard]] AnalysisReport run(const AnalysisRequest& request);
 
-  /// Alias of run() under the session-era name.
-  [[nodiscard]] AnalysisReport analyze(const AnalysisRequest& request) { return run(request); }
-
   /// Answers many requests, evaluating all queries of all requests on
   /// the worker pool.  reports[i] answers requests[i]; every report's
   /// *answers* are bit-identical to what sequential execution produces.
@@ -357,27 +353,9 @@ class Engine {
   [[nodiscard]] std::vector<AnalysisReport> run_batch(
       const std::vector<AnalysisRequest>& requests);
 
-  /// Engine-lifetime artifact-store counters, summed over stages
-  /// (search-evaluator lookups included).
-  struct CacheStats {
-    std::size_t hits = 0;
-    std::size_t misses = 0;
-    std::size_t shared = 0;  ///< single-flight joins (work saved, not resident)
-    std::size_t evictions = 0;
-    std::size_t entries = 0;        ///< current resident artifacts
-    std::size_t resident_bytes = 0; ///< current resident weight
-  };
-  /// Lifetime hit/miss/shared totals plus current residency.  Thread-safe.
-  [[nodiscard]] CacheStats cache_stats() const;
-
   /// Full per-stage store statistics (insertions, evictions, admission
   /// rejections, single-flight joins, residency).  Thread-safe.
   [[nodiscard]] ArtifactStore::Stats store_stats() const;
-
-  /// Drops every cached artifact (telemetry counters are kept).
-  /// Thread-safe, but answers in-flight on other threads may have
-  /// already resolved against the old contents.
-  void clear_cache();
 
   /// What the startup snapshot load found (zeros when store_dir is
   /// empty or the file was absent).  Immutable after construction.

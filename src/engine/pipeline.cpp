@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <functional>
 #include <map>
 #include <optional>
 #include <unordered_map>
@@ -67,7 +68,7 @@ struct Pipeline::Shared {
   std::uint64_t epoch = 0;
   int jobs = 1;
   util::Mutex diag_mutex;
-  std::array<StageDiagnostics, kArtifactStageCount> diag WHARF_GUARDED_BY(diag_mutex) = {};
+  StageCounters diag WHARF_GUARDED_BY(diag_mutex) = {};
 };
 
 struct Pipeline::State {
@@ -385,9 +386,44 @@ PathDmmResult Pipeline::path_dmm(const PathSpec& path, Count k) {
   return wharf::path_dmm(system(), path, k, oracle);
 }
 
-std::array<StageDiagnostics, kArtifactStageCount> Pipeline::stage_diagnostics() const {
+StageCounters Pipeline::stage_diagnostics() const {
   const util::MutexLock guard(state_->shared->diag_mutex);
   return state_->shared->diag;
+}
+
+// ---------------------------------------------------------------------
+// Stage-counter arithmetic
+// ---------------------------------------------------------------------
+
+namespace {
+
+template <typename Op>
+StageDiagnostics combine(const StageDiagnostics& a, const StageDiagnostics& b, Op op) {
+  return {op(a.lookups, b.lookups), op(a.hits, b.hits), op(a.misses, b.misses),
+          op(a.shared, b.shared), op(a.bytes_inserted, b.bytes_inserted)};
+}
+
+template <typename Op>
+StageCounters combine(const StageCounters& a, const StageCounters& b, Op op) {
+  StageCounters out;
+  for (std::size_t s = 0; s < kArtifactStageCount; ++s) out[s] = combine(a[s], b[s], op);
+  return out;
+}
+
+}  // namespace
+
+StageCounters add(const StageCounters& a, const StageCounters& b) {
+  return combine(a, b, std::plus<>{});
+}
+
+StageCounters sub(const StageCounters& a, const StageCounters& b) {
+  return combine(a, b, std::minus<>{});
+}
+
+StageDiagnostics total(const StageCounters& stages) {
+  StageDiagnostics sum;
+  for (const StageDiagnostics& stage : stages) sum = combine(sum, stage, std::plus<>{});
+  return sum;
 }
 
 }  // namespace wharf

@@ -55,6 +55,20 @@ struct StageDiagnostics {
   std::size_t bytes_inserted = 0;  ///< weight of artifacts this request computed
 };
 
+/// One StageDiagnostics per artifact stage, indexed by ArtifactStage:
+/// the shape of every per-stage counter set (reports, sessions,
+/// evaluators).
+using StageCounters = std::array<StageDiagnostics, kArtifactStageCount>;
+
+/// Stage-wise sum of two counter sets, every field.
+[[nodiscard]] StageCounters add(const StageCounters& a, const StageCounters& b);
+
+/// Stage-wise difference `a - b`; `b` is an earlier snapshot of `a`.
+[[nodiscard]] StageCounters sub(const StageCounters& a, const StageCounters& b);
+
+/// Every stage's counters summed into one.
+[[nodiscard]] StageDiagnostics total(const StageCounters& stages);
+
 /// Per-request staged evaluator.  Thread-safe: the engine calls stage
 /// accessors concurrently from its worker pool.
 class Pipeline {
@@ -106,7 +120,7 @@ class Pipeline {
   [[nodiscard]] PathDmmResult path_dmm(const PathSpec& path, Count k);
 
   /// Snapshot of this request's per-stage telemetry.
-  [[nodiscard]] std::array<StageDiagnostics, kArtifactStageCount> stage_diagnostics() const;
+  [[nodiscard]] StageCounters stage_diagnostics() const;
 
   /// Sub-pipeline over a variant of the system with `target`'s deadline
   /// replaced (owned copy), sharing store, epoch, jobs and diagnostics

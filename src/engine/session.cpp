@@ -19,32 +19,6 @@ namespace wharf {
 
 namespace {
 
-using Stages = std::array<StageDiagnostics, kArtifactStageCount>;
-
-Stages add(const Stages& a, const Stages& b) {
-  Stages out;
-  for (std::size_t s = 0; s < kArtifactStageCount; ++s) {
-    out[s].lookups = a[s].lookups + b[s].lookups;
-    out[s].hits = a[s].hits + b[s].hits;
-    out[s].misses = a[s].misses + b[s].misses;
-    out[s].shared = a[s].shared + b[s].shared;
-    out[s].bytes_inserted = a[s].bytes_inserted + b[s].bytes_inserted;
-  }
-  return out;
-}
-
-Stages sub(const Stages& a, const Stages& b) {
-  Stages out;
-  for (std::size_t s = 0; s < kArtifactStageCount; ++s) {
-    out[s].lookups = a[s].lookups - b[s].lookups;
-    out[s].hits = a[s].hits - b[s].hits;
-    out[s].misses = a[s].misses - b[s].misses;
-    out[s].shared = a[s].shared - b[s].shared;
-    out[s].bytes_inserted = a[s].bytes_inserted - b[s].bytes_inserted;
-  }
-  return out;
-}
-
 /// Whole-model fingerprint (diagnostics only — stage artifacts key on
 /// the finer slice digests of core/model_slice.hpp): the serialized
 /// system plus every analysis knob.
@@ -445,34 +419,6 @@ bool is_structural(const Delta& delta) {
 }
 
 // ---------------------------------------------------------------------
-// SessionStats
-// ---------------------------------------------------------------------
-
-std::size_t SessionStats::lookups() const {
-  std::size_t n = 0;
-  for (const StageDiagnostics& s : stages) n += s.lookups;
-  return n;
-}
-
-std::size_t SessionStats::hits() const {
-  std::size_t n = 0;
-  for (const StageDiagnostics& s : stages) n += s.hits;
-  return n;
-}
-
-std::size_t SessionStats::misses() const {
-  std::size_t n = 0;
-  for (const StageDiagnostics& s : stages) n += s.misses;
-  return n;
-}
-
-std::size_t SessionStats::shared() const {
-  std::size_t n = 0;
-  for (const StageDiagnostics& s : stages) n += s.shared;
-  return n;
-}
-
-// ---------------------------------------------------------------------
 // Session
 // ---------------------------------------------------------------------
 
@@ -493,10 +439,10 @@ struct Session::Impl {
   std::atomic<long long> queries_served{0};
   std::unique_ptr<Pipeline> pipeline;
   /// Stage counters of pipelines retired by apply().
-  Stages retired{};
+  StageCounters retired{};
   /// Totals already handed out through collect() — the baseline of the
   /// next report's per-call diagnostics.
-  Stages reported{};
+  StageCounters reported{};
 
   void set_digests(std::shared_ptr<const ModelDigests> table) {
     digests = std::move(table);
@@ -508,7 +454,7 @@ struct Session::Impl {
     pipeline = std::make_unique<Pipeline>(*model, options, *store, epoch, jobs, digests);
   }
 
-  [[nodiscard]] Stages lifetime_stages() const {
+  [[nodiscard]] StageCounters lifetime_stages() const {
     return add(retired, pipeline->stage_diagnostics());
   }
 };
@@ -623,33 +569,25 @@ AnalysisReport Session::collect(std::vector<QueryResult> results) {
   report.results = std::move(results);
   report.diagnostics.system_hash = fingerprint();
 
-  const Stages lifetime = impl_->lifetime_stages();
+  const StageCounters lifetime = impl_->lifetime_stages();
   report.diagnostics.stages = sub(lifetime, impl_->reported);
   impl_->reported = lifetime;
 
-  std::size_t lookups = 0;
-  std::size_t hits = 0;
-  std::size_t misses = 0;
-  std::size_t shared = 0;
-  for (const StageDiagnostics& stage : report.diagnostics.stages) {
-    lookups += stage.lookups;
-    hits += stage.hits;
-    misses += stage.misses;
-    shared += stage.shared;
-  }
-  report.diagnostics.cache_hits = hits;
-  report.diagnostics.cache_misses = misses;
-  report.diagnostics.cache_shared = shared;
-  report.diagnostics.cache_hit = lookups > 0 && misses == 0 && shared == 0;
+  const StageDiagnostics sum = total(report.diagnostics.stages);
+  report.diagnostics.cache_hits = sum.hits;
+  report.diagnostics.cache_misses = sum.misses;
+  report.diagnostics.cache_shared = sum.shared;
+  report.diagnostics.cache_hit = sum.lookups > 0 && sum.misses == 0 && sum.shared == 0;
   report.diagnostics.queries_failed = static_cast<std::size_t>(
       std::count_if(report.results.begin(), report.results.end(),
                     [](const QueryResult& r) { return !r.ok(); }));
   for (const QueryResult& r : report.results) {
     if (const auto* search = std::get_if<SearchAnswer>(&r.answer)) {
       report.diagnostics.search_evaluations += search->stats.evaluations;
-      report.diagnostics.search_hits += search->stats.hits();
-      report.diagnostics.search_misses += search->stats.misses();
-      report.diagnostics.search_shared += search->stats.shared();
+      const StageDiagnostics searched = total(search->stats.stages);
+      report.diagnostics.search_hits += searched.hits;
+      report.diagnostics.search_misses += searched.misses;
+      report.diagnostics.search_shared += searched.shared;
     }
   }
   return report;

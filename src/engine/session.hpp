@@ -18,7 +18,7 @@
 ///    model the batch started from, and the first error leaves the
 ///    session untouched (Status out, never an exception);
 ///  * query answers are bit-identical to a one-shot
-///    Engine::analyze/run of the mutated system, for any jobs value and
+///    Engine::run of the mutated system, for any jobs value and
 ///    any cache budget (Engine::run itself is a thin adapter over an
 ///    ephemeral Session);
 ///  * **external synchronization required**: a Session is a
@@ -130,16 +130,12 @@ struct SessionStats {
   std::uint64_t revision = 0;       ///< applied delta batches
   long long deltas_applied = 0;     ///< individual deltas across batches
   long long queries_served = 0;     ///< queries answered (query/serve/execute)
-  std::array<StageDiagnostics, kArtifactStageCount> stages{};
+  /// Store lookups per stage (total() sums them).
+  StageCounters stages{};
   /// Digest-table reuse: digests carried over from a parent table
   /// (hits) vs. computed afresh (misses), over the session's table
   /// build and every apply().
   DigestStats slices;
-
-  [[nodiscard]] std::size_t lookups() const;  ///< store lookups, summed over stages
-  [[nodiscard]] std::size_t hits() const;     ///< resident-before-epoch lookups
-  [[nodiscard]] std::size_t misses() const;   ///< lookups this session computed
-  [[nodiscard]] std::size_t shared() const;   ///< single-flight joins (work coalesced)
 };
 
 // ---------------------------------------------------------------------

@@ -176,8 +176,7 @@ std::string render_report(const System& system, const AnalysisReport& report) {
 }
 
 std::string render_diagnostics(const ReportDiagnostics& diagnostics) {
-  std::size_t lookups = 0;
-  for (const StageDiagnostics& stage : diagnostics.stages) lookups += stage.lookups;
+  const std::size_t lookups = total(diagnostics.stages).lookups;
 
   std::ostringstream out;
   if (lookups > 0) {

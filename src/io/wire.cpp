@@ -1,8 +1,5 @@
 #include "io/wire.hpp"
 
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <cctype>
 #include <charconv>
 #include <cstring>
@@ -77,49 +74,6 @@ bool read_line_bounded(std::istream& in, std::string& line, std::size_t max_line
 std::string oversized_line_error(std::size_t max_line_bytes) {
   return wire_protocol_error(Status::invalid_argument(
       util::cat("request line exceeds the ", max_line_bytes, "-byte protocol bound")));
-}
-
-FdStreambuf::FdStreambuf(int fd) : fd_(fd) {
-  setg(in_, in_, in_);
-  setp(out_, out_ + sizeof out_);
-}
-
-FdStreambuf::~FdStreambuf() {
-  sync();
-  ::close(fd_);
-}
-
-FdStreambuf::int_type FdStreambuf::underflow() {
-  if (gptr() < egptr()) return traits_type::to_int_type(*gptr());
-  const ssize_t n = ::read(fd_, in_, sizeof in_);
-  if (n <= 0) return traits_type::eof();
-  setg(in_, in_, in_ + n);
-  return traits_type::to_int_type(*gptr());
-}
-
-FdStreambuf::int_type FdStreambuf::overflow(int_type ch) {
-  if (flush_out() != 0) return traits_type::eof();
-  if (!traits_type::eq_int_type(ch, traits_type::eof())) {
-    *pptr() = traits_type::to_char_type(ch);
-    pbump(1);
-  }
-  return traits_type::not_eof(ch);
-}
-
-int FdStreambuf::sync() { return flush_out(); }
-
-int FdStreambuf::flush_out() {
-  const char* p = pbase();
-  while (p < pptr()) {
-    // MSG_NOSIGNAL: a peer that vanished mid-response must fail this
-    // connection's stream, not raise SIGPIPE against the whole process.
-    const ssize_t n =
-        ::send(fd_, p, static_cast<std::size_t>(pptr() - p), MSG_NOSIGNAL);
-    if (n <= 0) return -1;
-    p += n;
-  }
-  setp(out_, out_ + sizeof out_);
-  return 0;
 }
 
 bool FramedWriter::write_line(const std::string& line) {

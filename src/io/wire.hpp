@@ -34,8 +34,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <istream>
 #include <ostream>
-#include <streambuf>
 #include <string>
 #include <utility>
 #include <vector>
@@ -171,33 +171,6 @@ bool read_line_bounded(std::istream& in, std::string& line, std::size_t max_line
 /// The error envelope for an over-bound request line (shared wording
 /// between the stdio and async transports).
 [[nodiscard]] std::string oversized_line_error(std::size_t max_line_bytes);
-
-/// A minimal bidirectional streambuf over a connected socket fd (owned:
-/// closed on destruction).  Writes use send(MSG_NOSIGNAL), so a peer
-/// that disconnected surfaces as a stream failure on this connection —
-/// never as a process-killing SIGPIPE.  Not thread-safe: one connection
-/// thread owns its streambuf (see FramedWriter for the write framing).
-class FdStreambuf final : public std::streambuf {
- public:
-  /// Takes ownership of the connected socket `fd`.
-  explicit FdStreambuf(int fd);
-  ~FdStreambuf() override;
-
-  FdStreambuf(const FdStreambuf&) = delete;
-  FdStreambuf& operator=(const FdStreambuf&) = delete;
-
- protected:
-  int_type underflow() override;
-  int_type overflow(int_type ch) override;
-  int sync() override;
-
- private:
-  int flush_out();
-
-  int fd_;
-  char in_[4096];
-  char out_[4096];
-};
 
 /// Thread-safe framed response writer: write_line() emits exactly one
 /// `line + '\n'` and flushes, atomically under an internal mutex, so

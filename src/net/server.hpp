@@ -2,10 +2,9 @@
 /// The async serve core: one epoll reactor (net::Reactor) owning every
 /// socket, a fixed worker pool (net::Executor) running the protocol
 /// handlers (net::service), and per-connection state machines between
-/// them.  This replaces the connection-per-thread listener: serving one
-/// slow client or a thousand costs the same fixed thread count
-/// (reactor + pool), which is what the ROADMAP's production-connection
-/// gate demands.
+/// them.  Serving one slow client or a thousand costs the same fixed
+/// thread count (reactor + pool), which is what the ROADMAP's
+/// production-connection gate demands.
 ///
 /// The moving parts, per connection:
 ///  * reads — the loop feeds an io::LineAssembler, parses complete
@@ -29,8 +28,7 @@
 ///
 /// Shutdown latches the moment a shutdown request *parses* (even if
 /// the acknowledgment turns out unwritable): accepting stops and the
-/// server exits once every live connection drains — identical to the
-/// threaded listener's contract.  The requesting connection's own
+/// server exits once every live connection drains.  The requesting connection's own
 /// conversation is over: it closes as soon as its ack drains, so a
 /// closer that holds its socket open while waiting for server exit
 /// cannot deadlock the drain.

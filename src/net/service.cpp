@@ -29,14 +29,15 @@ void write_session_stats(io::JsonWriter& w, const SessionStats& stats) {
   w.value(stats.deltas_applied);
   w.key("queries_served");
   w.value(stats.queries_served);
+  const StageDiagnostics store = total(stats.stages);
   w.key("store");
   w.begin_object();
   w.key("hits");
-  w.value(static_cast<long long>(stats.hits()));
+  w.value(static_cast<long long>(store.hits));
   w.key("misses");
-  w.value(static_cast<long long>(stats.misses()));
+  w.value(static_cast<long long>(store.misses));
   w.key("shared");
-  w.value(static_cast<long long>(stats.shared()));
+  w.value(static_cast<long long>(store.shared));
   w.key("stages");
   w.begin_object();
   for (std::size_t s = 0; s < kArtifactStageCount; ++s) {

@@ -134,32 +134,8 @@ std::vector<std::vector<Priority>> random_candidates(const System& base, int sam
 }
 
 // ---------------------------------------------------------------------
-// EvaluatorStats / Evaluator
+// Evaluator
 // ---------------------------------------------------------------------
-
-std::size_t EvaluatorStats::lookups() const {
-  std::size_t n = 0;
-  for (const StageDiagnostics& s : stages) n += s.lookups;
-  return n;
-}
-
-std::size_t EvaluatorStats::hits() const {
-  std::size_t n = 0;
-  for (const StageDiagnostics& s : stages) n += s.hits;
-  return n;
-}
-
-std::size_t EvaluatorStats::misses() const {
-  std::size_t n = 0;
-  for (const StageDiagnostics& s : stages) n += s.misses;
-  return n;
-}
-
-std::size_t EvaluatorStats::shared() const {
-  std::size_t n = 0;
-  for (const StageDiagnostics& s : stages) n += s.shared;
-  return n;
-}
 
 Evaluator::~Evaluator() = default;
 
@@ -229,13 +205,7 @@ Objective PipelineEvaluator::score(const std::vector<Priority>& priorities, int 
   {
     const util::MutexLock guard(stats_mutex_);
     ++stats_.evaluations;
-    for (std::size_t s = 0; s < kArtifactStageCount; ++s) {
-      stats_.stages[s].lookups += diag.stages[s].lookups;
-      stats_.stages[s].hits += diag.stages[s].hits;
-      stats_.stages[s].misses += diag.stages[s].misses;
-      stats_.stages[s].shared += diag.stages[s].shared;
-      stats_.stages[s].bytes_inserted += diag.stages[s].bytes_inserted;
-    }
+    stats_.stages = add(stats_.stages, diag.stages);
     stats_.slices.hits += diag.slices.hits;
     stats_.slices.misses += diag.slices.misses;
   }

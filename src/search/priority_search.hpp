@@ -75,16 +75,14 @@ struct EvaluationSpec {
 /// algorithms count their own evaluations in SearchResult.
 struct EvaluatorStats {
   long long evaluations = 0;
-  std::array<StageDiagnostics, kArtifactStageCount> stages{};
+  /// Store lookups per stage over every scored candidate (total() sums
+  /// them: hits were served from the store, misses computed afresh,
+  /// shared joined an in-flight compute).
+  StageCounters stages{};
   /// Digest-table reuse over every candidate and anchor session the
   /// evaluator derived (digests carried over vs. computed; zero for
   /// backends that do not cache).
   DigestStats slices;
-
-  [[nodiscard]] std::size_t lookups() const;
-  [[nodiscard]] std::size_t hits() const;    ///< served from the store
-  [[nodiscard]] std::size_t misses() const;  ///< computed afresh
-  [[nodiscard]] std::size_t shared() const;  ///< joined an in-flight compute
 };
 
 /// Scoring backend boundary: search algorithms see candidates in, one
@@ -94,6 +92,7 @@ struct EvaluatorStats {
 /// bit-identical to sequential evaluation.
 class Evaluator {
  public:
+  /// Virtual: backends are owned and driven through this interface.
   virtual ~Evaluator();
 
   /// The base system whose task priorities are being searched.
@@ -109,6 +108,7 @@ class Evaluator {
   [[nodiscard]] virtual std::vector<Objective> evaluate_many(
       const std::vector<std::vector<Priority>>& candidates);
 
+  /// Lifetime telemetry: candidates scored and store lookups per stage.
   [[nodiscard]] virtual EvaluatorStats stats() const = 0;
 };
 
@@ -138,14 +138,23 @@ class PipelineEvaluator final : public Evaluator {
   explicit PipelineEvaluator(System base, EvaluationSpec spec = {}, TwcaOptions options = {},
                              std::size_t cache_bytes = ArtifactStore::kDefaultByteBudget);
 
+  /// Defined where Session is complete; the anchor session is destroyed
+  /// before an owned store.
   ~PipelineEvaluator() override;
 
+  /// The base system (see Evaluator::base).
   [[nodiscard]] const System& base() const override;
+  /// Scores one candidate as a speculated delta batch; the ILP of each
+  /// target splits across `jobs`.
   [[nodiscard]] Objective evaluate(const std::vector<Priority>& priorities) override;
+  /// Moves the anchor to the batch's centre, then scores every candidate
+  /// on the worker pool (bit-identical to evaluate() in turn).
   [[nodiscard]] std::vector<Objective> evaluate_many(
       const std::vector<std::vector<Priority>>& candidates) override;
+  /// Thread-safe snapshot of the counters summed over every candidate.
   [[nodiscard]] EvaluatorStats stats() const override;
 
+  /// The store candidates resolve against (shared or owned).
   [[nodiscard]] const ArtifactStore& store() const { return *store_; }
 
  private:
@@ -176,10 +185,14 @@ class PipelineEvaluator final : public Evaluator {
 /// PipelineEvaluator.
 class ReferenceEvaluator final : public Evaluator {
  public:
+  /// Scores priority assignments of `base` against `spec`.
   explicit ReferenceEvaluator(System base, EvaluationSpec spec = {}, TwcaOptions options = {});
 
+  /// The base system (see Evaluator::base).
   [[nodiscard]] const System& base() const override;
+  /// Runs a fresh TwcaAnalyzer over the candidate system.
   [[nodiscard]] Objective evaluate(const std::vector<Priority>& priorities) override;
+  /// Evaluation count only; the stage counters stay zero (no store).
   [[nodiscard]] EvaluatorStats stats() const override;
 
  private:
@@ -259,14 +272,17 @@ struct HillClimbOptions {
 // Conveniences binding a private pipeline-backed evaluator per call
 // ---------------------------------------------------------------------
 
+/// exhaustive_search(Evaluator&, ...) over a private PipelineEvaluator.
 [[nodiscard]] SearchResult exhaustive_search(const System& system, const EvaluationSpec& spec,
                                              long long max_permutations = 50'000,
                                              const TwcaOptions& options = {});
 
+/// random_search(Evaluator&, ...) over a private PipelineEvaluator.
 [[nodiscard]] SearchResult random_search(const System& system, const EvaluationSpec& spec,
                                          int samples, std::uint64_t seed,
                                          const TwcaOptions& options = {});
 
+/// hill_climb(Evaluator&, ...) over a private PipelineEvaluator.
 [[nodiscard]] SearchResult hill_climb(const System& system, const EvaluationSpec& spec,
                                       const HillClimbOptions& options = {},
                                       const TwcaOptions& twca_options = {});

@@ -49,7 +49,7 @@ template <typename... Args>
 /// Thread-safe strerror: the system message for `errno_value`
 /// (std::strerror writes to shared static storage, which the
 /// concurrency-mt-unsafe tidy check rightly refuses in a server that
-/// formats errors from concurrent connection threads).
+/// formats errors from concurrent worker threads).
 [[nodiscard]] std::string errno_message(int errno_value);
 
 }  // namespace wharf::util

@@ -19,6 +19,7 @@
 #include "engine/engine.hpp"
 #include "gen/random_systems.hpp"
 #include "io/system_format.hpp"
+#include "oracles/busy_window_reference.hpp"
 
 namespace wharf {
 namespace {

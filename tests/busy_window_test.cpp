@@ -10,6 +10,7 @@
 #include "core/arrival.hpp"
 #include "core/busy_window.hpp"
 #include "core/case_studies.hpp"
+#include "oracles/busy_window_reference.hpp"
 #include "tests/support/saturated_system.hpp"
 #include "util/expect.hpp"
 

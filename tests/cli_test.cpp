@@ -1,11 +1,19 @@
-// Unit tests for the wharf CLI (src/cli), driven entirely through
-// in-memory streams: every subcommand, exit code and error path.
+// Unit tests for the wharf CLI (src/cli), driven through in-memory
+// streams: every subcommand, exit code and error path.  One serve case
+// runs the real binary, because a broken stdout needs a real pipe.
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <csignal>
+#include <filesystem>
 #include <sstream>
 
 #include "cli/cli.hpp"
+#include "cli/serve.hpp"
 #include "core/case_studies.hpp"
 #include "io/json.hpp"
 #include "io/system_format.hpp"
@@ -574,6 +582,57 @@ TEST(Cli, ServeShutdownMessageEndsTheLoop) {
   // Nothing after the shutdown acknowledgement is processed.
   ASSERT_EQ(lines.size(), 1u) << r.out;
   EXPECT_NE(lines[0].find(R"("type":"shutdown","status":"ok")"), std::string::npos);
+}
+
+TEST(Cli, StdioServeWithAClosedStdoutExitsFourAndSpills) {
+  // A reader that went away is a transport failure: the real binary,
+  // its stdout a pipe whose read end is closed before it starts, must
+  // exit 4 after the graceful spill, not die of SIGPIPE (141).
+  char name[] = "/tmp/wharf_cli_test_XXXXXX";
+  ASSERT_NE(::mkdtemp(name), nullptr);
+  const std::string store_dir = name;
+  const std::string conversation =
+      "{\"id\":1,\"type\":\"open_session\",\"session\":\"s\",\"system\":\"" +
+      io::json_escape(case_study_text()) +
+      "\"}\n"
+      R"({"id":2,"type":"query","session":"s","queries":[{"kind":"latency","chain":"sigma_c"}]})"
+      "\n";
+
+  int in_pipe[2];
+  int out_pipe[2];
+  ASSERT_EQ(::pipe(in_pipe), 0);
+  ASSERT_EQ(::pipe(out_pipe), 0);
+  // The conversation fits the pipe buffer: write it whole, then EOF.
+  ASSERT_EQ(::write(in_pipe[1], conversation.data(), conversation.size()),
+            static_cast<ssize_t>(conversation.size()));
+  ::close(in_pipe[1]);
+  ::close(out_pipe[0]);  // nobody will ever read the answers
+
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    // In-process serve tests above ignore SIGPIPE in this process, and
+    // exec would inherit that: restore the default a shell gives.
+    (void)std::signal(SIGPIPE, SIG_DFL);
+    ::dup2(in_pipe[0], STDIN_FILENO);
+    ::dup2(out_pipe[1], STDOUT_FILENO);
+    const int null_fd = ::open("/dev/null", O_WRONLY);
+    if (null_fd >= 0) ::dup2(null_fd, STDERR_FILENO);
+    ::execl(WHARF_BINARY_PATH, WHARF_BINARY_PATH, "serve", "--store-dir", name,
+            static_cast<char*>(nullptr));
+    ::_exit(127);
+  }
+  ::close(in_pipe[0]);
+  ::close(out_pipe[1]);
+
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status)) << "killed by signal "
+                                 << (WIFSIGNALED(status) ? WTERMSIG(status) : 0);
+  EXPECT_EQ(WEXITSTATUS(status), kTransportError);
+  EXPECT_TRUE(std::filesystem::exists(store_dir + "/wharf_store.snapshot"));
+  std::error_code ignored;
+  std::filesystem::remove_all(store_dir, ignored);
 }
 
 TEST(Cli, ServeUsageErrors) {

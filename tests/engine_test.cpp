@@ -167,10 +167,8 @@ TEST(Engine, RepeatedRequestHitsArtifactCache) {
   EXPECT_LE(second.diagnostics.cache_hits, first.diagnostics.cache_misses);
   EXPECT_EQ(second.diagnostics.system_hash, first.diagnostics.system_hash);
 
-  const Engine::CacheStats stats = engine.cache_stats();
-  EXPECT_EQ(stats.hits, second.diagnostics.cache_hits);
-  EXPECT_EQ(stats.misses, first.diagnostics.cache_misses);
-  EXPECT_GT(stats.entries, 0u);
+  const ArtifactStore::Stats stats = engine.store_stats();
+  EXPECT_GT(stats.resident_entries, 0u);
   EXPECT_GT(stats.resident_bytes, 0u);
 
   // Apart from the cache diagnostics the reports are identical.

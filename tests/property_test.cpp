@@ -24,6 +24,7 @@
 #include "engine/session.hpp"
 #include "gen/random_systems.hpp"
 #include "io/system_format.hpp"
+#include "oracles/busy_window_reference.hpp"
 #include "sim/arrival_sequence.hpp"
 #include "sim/busy_windows.hpp"
 #include "sim/simulator.hpp"

@@ -463,7 +463,7 @@ TEST(ServeAsync, ThreadCountStaysFlatAcrossManySlowClients) {
     EXPECT_NE(active.recv_line().find(R"("wcl":331)"), std::string::npos) << round;
   }
   // The whole point of the reactor: 41 live connections, zero new
-  // threads (the threaded listener would be 40 threads deeper here).
+  // threads (a thread per connection would be 40 threads deeper here).
   EXPECT_EQ(thread_count(), baseline);
 
   for (std::unique_ptr<Client>& client : slow) client->close();

@@ -209,7 +209,7 @@ TEST(ServeConcurrent, IdenticalConversationsShareStoreArtifacts) {
   // The store keys artifacts by model content, and resolve() is
   // single-flight per key — so N clients opening the *same* system and
   // asking the same queries insert each busy-window artifact exactly
-  // once, no matter how the connection threads interleave.
+  // once, no matter how the clients' requests interleave.
   Engine single;
   {
     std::istringstream in(open_line(1, "s") + "\n" + query_line(2, "s") + "\n");

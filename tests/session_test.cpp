@@ -5,12 +5,12 @@
 //    are Statuses that leave the session untouched;
 //  * the incrementality contract — for ANY random delta sequence
 //    (including structural kinds), session query results are
-//    bit-identical to a fresh one-shot Engine::analyze of the mutated
+//    bit-identical to a fresh one-shot Engine::run of the mutated
 //    system, across jobs 1/4/16 and under a tiny cache budget
 //    (eviction pressure);
 //  * the acceptance telemetry — a 100-delta mutation sweep through one
 //    Session performs strictly fewer busy-window solves than 100
-//    one-shot Engine::analyze calls, with every answer equal;
+//    one-shot Engine::run calls, with every answer equal;
 //  * digest-table reuse across revisions and speculative candidates
 //    (ModelDigests), and cross-session key soundness.
 
@@ -220,13 +220,13 @@ TEST(Session, StructuralApplyDetachesLiveSpeculativeSessions) {
   const std::vector<Query> old_queries = standard_queries(candidate.system(), {5});
   Engine reference;
   expect_same_answers(candidate.serve(old_queries),
-                      reference.analyze(AnalysisRequest{candidate.system(), {}, old_queries}),
+                      reference.run(AnalysisRequest{candidate.system(), {}, old_queries}),
                       "old-structure candidate after structural apply");
   // ...and so does the mutated base, even though the candidate kept
   // (re)populating the previously shared memo.
   const std::vector<Query> new_queries = standard_queries(session.system(), {5});
   expect_same_answers(session.serve(new_queries),
-                      reference.analyze(AnalysisRequest{session.system(), {}, new_queries}),
+                      reference.run(AnalysisRequest{session.system(), {}, new_queries}),
                       "new-structure base after structural apply");
 }
 
@@ -334,7 +334,7 @@ std::string random_batch(Session& session, std::mt19937_64& rng, int& add_counte
 
 TEST(Session, RandomDeltaSequencesMatchOneShotAcrossJobsAndEviction) {
   // The satellite property: for a random delta sequence, Session query
-  // results are bit-identical to a fresh one-shot Engine::analyze of the
+  // results are bit-identical to a fresh one-shot Engine::run of the
   // mutated system — across jobs 1/4/16, with the session's store under
   // a tiny byte budget (artifacts are evicted and recomputed mid-sweep).
   gen::RandomSystemSpec spec;
@@ -355,7 +355,7 @@ TEST(Session, RandomDeltaSequencesMatchOneShotAcrossJobsAndEviction) {
       const std::vector<Query> queries = standard_queries(session.system(), {5});
       AnalysisReport via_session = session.serve(queries);
       AnalysisReport one_shot =
-          reference.analyze(AnalysisRequest{session.system(), {}, queries});
+          reference.run(AnalysisRequest{session.system(), {}, queries});
       expect_same_answers(std::move(via_session), std::move(one_shot),
                           "jobs=" + std::to_string(jobs) + " step " + std::to_string(step) +
                               " (" + what + ")");
@@ -368,7 +368,7 @@ TEST(Session, RandomDeltaSequencesMatchOneShotAcrossJobsAndEviction) {
 TEST(Session, HundredDeltaSweepSolvesStrictlyFewerBusyWindows) {
   // The acceptance bar: a 100-delta mutation sweep through one Session
   // performs strictly fewer busy-window solves than 100 one-shot
-  // Engine::analyze calls, while every query result stays bit-identical.
+  // Engine::run calls, while every query result stays bit-identical.
   gen::RandomSystemSpec spec;
   spec.min_chains = 8;
   spec.max_chains = 8;
@@ -402,7 +402,7 @@ TEST(Session, HundredDeltaSweepSolvesStrictlyFewerBusyWindows) {
     AnalysisReport via_session = session.serve(queries);
 
     Engine one_shot;  // fresh store: the pre-session client behavior
-    AnalysisReport cold = one_shot.analyze(AnalysisRequest{session.system(), {}, queries});
+    AnalysisReport cold = one_shot.run(AnalysisRequest{session.system(), {}, queries});
     one_shot_busy_window_solves +=
         cold.diagnostics.stages[kBusyWindowStage].misses +
         cold.diagnostics.stages[kBusyWindowStage].shared;
@@ -443,12 +443,12 @@ TEST(Session, OpenSessionSharesTheEngineStore) {
 }
 
 TEST(Session, EngineRunIsAnEphemeralSessionAdapter) {
-  // analyze/run and a hand-rolled session produce identical reports
+  // Engine::run and a hand-rolled session produce identical reports
   // (diagnostics included — both are one fresh epoch over one store).
   const AnalysisRequest request = AnalysisRequest::standard(case_study(), {3, 76});
 
   Engine engine;
-  const AnalysisReport via_engine = engine.analyze(request);
+  const AnalysisReport via_engine = engine.run(request);
 
   ArtifactStore store;
   Session session(request.system, request.options, store);

@@ -214,7 +214,6 @@ TEST(SingleFlight, BatchSiblingsRecordOneMissAndNMinusOneSharedInDiagnostics) {
   EXPECT_EQ(shared, static_cast<std::size_t>(kRequests - 1));
   EXPECT_EQ(engine.store_stats().stage[kDmmStage].flights_shared,
             static_cast<std::size_t>(kRequests - 1));
-  EXPECT_EQ(engine.cache_stats().shared, static_cast<std::size_t>(kRequests - 1));
 }
 
 }  // namespace
