@@ -1,8 +1,10 @@
 // Ablation on the Theorem 3 machinery: (a) minimal-only versus full
 // combination enumeration (Section V-C motivates avoiding the full U),
 // and (b) the branch-and-bound ILP versus the exhaustive DFS packer.
-// Both variants must agree on every dmm value; the ablation quantifies
-// how much work each shortcut saves.
+// The full set and the DFS packer are test oracles
+// (oracles/packing_reference.hpp), driven through the same stage
+// boundaries as production.  Both variants must agree on every dmm
+// value; the ablation quantifies how much work each shortcut saves.
 //
 //   $ ./bench_ablation_ilp
 
@@ -15,6 +17,7 @@
 #include "gen/random_systems.hpp"
 #include "ilp/packing.hpp"
 #include "io/tables.hpp"
+#include "oracles/packing_reference.hpp"
 #include "util/strings.hpp"
 
 namespace {
@@ -64,20 +67,15 @@ void print_tables() {
   std::cout << "=== Minimal-only vs full combination enumeration ===\n";
   io::TextTable table({"system", "chain", "|U| full", "|U| minimal", "dmm(20) full",
                        "dmm(20) minimal"});
-  TwcaOptions full_opts;
-  full_opts.minimal_only = false;
-  TwcaOptions min_opts;
-  min_opts.minimal_only = true;
 
   std::vector<System> systems;
   systems.push_back(three_active_segments_system());
   for (std::uint64_t seed : {1, 2, 3, 4, 5}) systems.push_back(heavy_overload_system(seed));
 
   for (const System& sys : systems) {
-    TwcaAnalyzer full{sys, full_opts};
-    TwcaAnalyzer minimal{sys, min_opts};
+    TwcaAnalyzer minimal{sys};
     for (int c : sys.regular_indices()) {
-      const DmmResult f = full.dmm(c, 20);
+      const DmmResult f = reference::dmm(sys, c, 20, {}, {.full_combination_set = true});
       const DmmResult m = minimal.dmm(c, 20);
       if (f.status != DmmStatus::kBounded || f.unschedulable_count == 0) continue;
       table.add_row({sys.name(), sys.chain(c).name(), util::cat(f.unschedulable_count),
@@ -119,14 +117,10 @@ void print_tables() {
     solver_systems.push_back(heavy_overload_system(seed));
   }
   for (const System& sys : solver_systems) {
-    TwcaOptions ilp_opts;
-    TwcaOptions dfs_opts;
-    dfs_opts.use_dfs_packer = true;
-    TwcaAnalyzer with_ilp{sys, ilp_opts};
-    TwcaAnalyzer with_dfs{sys, dfs_opts};
+    TwcaAnalyzer with_ilp{sys};
     for (int c : sys.regular_indices()) {
       const DmmResult a = with_ilp.dmm(c, 50);
-      const DmmResult b = with_dfs.dmm(c, 50);
+      const DmmResult b = reference::dmm(sys, c, 50, {}, {.dfs_packer = true});
       if (a.status != DmmStatus::kBounded || a.unschedulable_count == 0) continue;
       solvers.add_row({util::cat(sys.name(), "/", sys.chain(c).name()),
                        util::cat(a.packing_optimum), util::cat(a.solver_nodes),
@@ -160,7 +154,7 @@ void BM_PackingDfs(benchmark::State& state) {
   p.capacities = {4, 5, 3, 6, 2};
   p.item_resources = {{0, 1}, {1, 2}, {0, 3}, {2, 3, 4}, {0, 4}, {1, 3}};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ilp::solve_packing_dfs(p));
+    benchmark::DoNotOptimize(reference::solve_packing_dfs(p));
   }
 }
 BENCHMARK(BM_PackingDfs);

@@ -19,12 +19,12 @@
 // CI gates on identical_to_serialized, on the concurrent variant
 // performing strictly fewer busy-window solves than the serialized one,
 // on cross_connection_reuse > 0, and on shared_flights > 0: each serve
-// round now resolves its busy windows under one coarse batched flight
-// (Pipeline::prime_busy_windows) and the fixture's near-unit
-// utilization keeps that flight open for milliseconds, so concurrently
-// arriving clients reliably join it — even on a single CPU, where the
-// owner gets preempted mid-compute.  (tests/single_flight_test.cpp pins
-// the join mechanism deterministically with a gated arrival model.)
+// round resolves every target's busy window under its own store flight,
+// and the fixture's near-unit utilization keeps each such flight open
+// for about a millisecond, so concurrently arriving clients reliably
+// join some of them — even on a single CPU, where the owner gets
+// preempted mid-compute.  (tests/single_flight_test.cpp pins the join
+// mechanism deterministically with a gated arrival model.)
 //
 //   $ ./bench_serve_concurrent
 
@@ -57,12 +57,11 @@ constexpr std::size_t kBusyWindowStage =
     static_cast<std::size_t>(static_cast<int>(ArtifactStage::kBusyWindow));
 
 System sweep_base() {
-  // Much heavier than the serve_stream fixture on purpose: each serve
-  // round resolves its busy windows under one coarse batched flight
-  // (Pipeline::prime_busy_windows), and at utilization ~0.9994 the busy
-  // windows are long enough (milliseconds per cold round) that the
-  // flight stays open while the other clients' identical lookups arrive
-  // — the in-flight joins the gated shared_flights > 0 counts.  Built by
+  // Much heavier than the serve_stream fixture on purpose: at
+  // utilization ~0.9994 the busy windows are long enough (about a
+  // millisecond per target on a cold round) that each per-target flight
+  // stays open while the other clients' identical lookups arrive — the
+  // in-flight joins the gated shared_flights > 0 counts.  Built by
   // hand because the integer-rounded random generator cannot dial
   // utilization this close to (but below) 1.
   std::vector<Chain> chains;

@@ -8,8 +8,8 @@
 //
 // What the persistent store must buy: the restarted engine's solve
 // counts match the stayed-up engine's (the snapshot restores busy-window
-// results, batch markers, overload artifacts, dmm curves and packing
-// solutions alike — a restart costs one file read, not a re-analysis),
+// results, overload artifacts, dmm curves and packing solutions
+// alike — a restart costs one file read, not a re-analysis),
 // and every variant's answers are bit-identical to the cold run's (the
 // snapshot restores artifacts, never fabricates results).
 //

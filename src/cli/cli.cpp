@@ -7,6 +7,7 @@
 #include <limits>
 #include <map>
 #include <optional>
+#include <set>
 #include <sstream>
 
 #include "core/dmm_curve.hpp"
@@ -57,6 +58,7 @@ usage:
 
 <file> is a system description (see io/system_format.hpp); '-' reads stdin.
 any subcommand accepts --help (print this text, exit 0).
+a flag its usage line above does not list is a usage error (exit 1).
 --store-dir DIR persists the artifact store across runs: analysis
 artifacts load from DIR/wharf_store.snapshot at startup and spill back
 on clean exit, so repeat invocations start warm.  Corrupt or
@@ -65,11 +67,12 @@ exit codes: 0 ok; 1 usage error; 2 input error; 3 analysis gave no guarantee.
 
 serve: a long-lived NDJSON request/response loop over stdin/stdout, or a
 127.0.0.1 TCP socket with --listen (port 0 picks one) serving multiple
-concurrent connections — one thread per connection, at most
---max-connections at a time (default: hardware threads), all sharing one
-engine and artifact store — speaking {open_session, apply_delta, query,
-diagnostics, close, shutdown} against incremental analysis sessions
-(spec: docs/serve-protocol.md).
+concurrent connections from one event-driven reactor thread, with request
+work on a worker pool; --max-connections is the global budget of requests
+in flight across all connections (default: hardware threads), and every
+connection shares one engine and artifact store — speaking {open_session,
+apply_delta, query, diagnostics, close, shutdown} against incremental
+analysis sessions (spec: docs/serve-protocol.md).
 serve exit codes: 0 clean shutdown or EOF; 1 usage error; 4 transport failure
 (cannot bind/listen/accept, or broken stdio output).
 Per-request errors (malformed JSON, unknown session, bad delta/query)
@@ -103,34 +106,56 @@ struct Options {
   }
 };
 
-/// Options that take a value (everything else with a leading -- is a flag).
-bool option_takes_value(const std::string& name) {
-  return name == "--k" || name == "--breakpoints" || name == "--horizon" || name == "--seed" ||
-         name == "--extra-gap" || name == "--gantt" || name == "--strategy" ||
-         name == "--budget" || name == "--restarts" || name == "--max-permutations" ||
-         name == "--jobs" || name == "--cache-bytes" || name == "--deadline" ||
-         name == "--budgets" || name == "--listen" || name == "--max-connections" ||
-         name == "--store-dir" || name == "--persist-interval" || name == "--workers" ||
-         name == "--connect" || name == "--unit-size" || name == "--window" ||
-         name == "--unit-deadline-ms" || name == "--max-restarts";
+/// The flags one subcommand accepts: `valued` ones take the next
+/// argument as their value, `bare` ones stand alone.
+struct FlagSet {
+  std::set<std::string> valued;
+  std::set<std::string> bare;
+};
+
+/// Every subcommand's flags, exactly what its cmd_* reads (and kUsage
+/// lists).  Any other --flag is a usage error.
+const std::map<std::string, FlagSet>& subcommand_flags() {
+  static const std::map<std::string, FlagSet> flags = {
+      {"analyze", {{"--k", "--jobs", "--cache-bytes", "--store-dir"}, {"--json"}}},
+      {"dmm", {{"--k", "--breakpoints"}, {"--json"}}},
+      {"path", {{"--deadline", "--budgets", "--k", "--jobs"}, {"--json"}}},
+      {"simulate", {{"--horizon", "--seed", "--extra-gap", "--gantt"}, {}}},
+      {"search",
+       {{"--k", "--strategy", "--budget", "--restarts", "--max-permutations", "--seed", "--jobs",
+         "--cache-bytes", "--store-dir"},
+        {"--json"}}},
+      {"sweep",
+       {{"--k", "--strategy", "--budget", "--seed", "--max-permutations", "--workers",
+         "--connect", "--unit-size", "--window", "--unit-deadline-ms", "--max-restarts",
+         "--jobs", "--store-dir"},
+        {"--json"}}},
+      {"serve",
+       {{"--jobs", "--cache-bytes", "--store-dir", "--persist-interval", "--listen",
+         "--max-connections"},
+        {}}},
+      {"validate", {}},
+  };
+  return flags;
 }
 
-bool parse_options(const std::vector<std::string>& args, std::size_t first, Options& out,
-                   std::ostream& err) {
-  for (std::size_t i = first; i < args.size(); ++i) {
+bool parse_options(const std::vector<std::string>& args, const std::string& command,
+                   const FlagSet& flags, Options& out, std::ostream& err) {
+  for (std::size_t i = 1; i < args.size(); ++i) {
     const std::string& a = args[i];
-    if (util::starts_with(a, "--")) {
-      if (option_takes_value(a)) {
-        if (i + 1 >= args.size()) {
-          err << "missing value for " << a << "\n";
-          return false;
-        }
-        out.values[a] = args[++i];
-      } else {
-        out.values[a] = "";
-      }
-    } else {
+    if (!util::starts_with(a, "--")) {
       out.positional.push_back(a);
+    } else if (flags.valued.count(a) != 0) {
+      if (i + 1 >= args.size()) {
+        err << "missing value for " << a << "\n";
+        return false;
+      }
+      out.values[a] = args[++i];
+    } else if (flags.bare.count(a) != 0) {
+      out.values[a] = "";
+    } else {
+      err << "unknown flag '" << a << "' for wharf " << command << " (see wharf help)\n";
+      return false;
     }
   }
   return true;
@@ -807,10 +832,15 @@ int run(const std::vector<std::string>& args, std::istream& in, std::ostream& ou
       return kOk;
     }
   }
-  Options options;
-  if (!parse_options(args, 1, options, err)) return kUsageError;
-
   const std::string& command = args[0];
+  const auto flags = subcommand_flags().find(command);
+  if (flags == subcommand_flags().end()) {
+    err << "unknown command '" << command << "'\n" << kUsage;
+    return kUsageError;
+  }
+  Options options;
+  if (!parse_options(args, command, flags->second, options, err)) return kUsageError;
+
   if (command == "analyze") return cmd_analyze(options, in, out, err);
   if (command == "dmm") return cmd_dmm(options, in, out, err);
   if (command == "path") return cmd_path(options, in, out, err);
@@ -818,9 +848,7 @@ int run(const std::vector<std::string>& args, std::istream& in, std::ostream& ou
   if (command == "search") return cmd_search(options, in, out, err);
   if (command == "sweep") return cmd_sweep(options, in, out, err);
   if (command == "serve") return cmd_serve_dispatch(options, in, out, err);
-  if (command == "validate") return cmd_validate(options, in, out, err);
-  err << "unknown command '" << command << "'\n" << kUsage;
-  return kUsageError;
+  return cmd_validate(options, in, out, err);
 }
 
 int run_main(int argc, char** argv) {

@@ -37,7 +37,13 @@ bool serve_stream(Engine& engine, std::istream& in, std::ostream& out,
   net::Conversation conversation;
   conversation.engine = &engine;
   conversation.server = server;
-  io::FramedWriter writer(out);
+  // One framed line per response, flushed.  The stream's failbit is
+  // sticky: after the first failed write every later one fails too.
+  const auto write_line = [&out](const std::string& l) {
+    out << l << '\n';
+    out.flush();
+    return !out.fail();
+  };
 
   std::string line;
   bool shutdown = false;
@@ -65,12 +71,11 @@ bool serve_stream(Engine& engine, std::istream& in, std::ostream& out,
         // through the same writer (and deadlines never expire, since
         // execution starts immediately).
         net::StreamProgress progress;
-        const net::Emit emit = [&](const std::string& l) { return writer.write_line(l); };
-        (void)net::run_query_stream(conversation, request.value(), progress, emit, {});
+        (void)net::run_query_stream(conversation, request.value(), progress, write_line, {});
         if (server != nullptr) {
           server->requests_served.fetch_add(1, std::memory_order_relaxed);
         }
-        if (writer.failed()) return shutdown;
+        if (out.fail()) return shutdown;
         continue;
       } else {
         response = net::handle_request(conversation, request.value(), shutdown);
@@ -79,7 +84,7 @@ bool serve_stream(Engine& engine, std::istream& in, std::ostream& out,
         }
       }
     }
-    if (!writer.write_line(response)) {
+    if (!write_line(response)) {
       // The client is gone (or the pipe broke): a transport failure of
       // *this* conversation only — never a process exit.  A shutdown
       // request was accepted the moment it parsed, though: it still

@@ -50,9 +50,9 @@ inline constexpr int kTransportError = 4;
 /// Runs one NDJSON conversation on `in`/`out` (sessions live for the
 /// conversation; `engine` provides the shared store and jobs; `server`,
 /// when given, is reported in diagnostics responses and collects the
-/// request counters).  Responses are written through an
-/// io::FramedWriter, and a failing writer ends the conversation —
-/// transport errors stay confined to this stream.  Streaming queries
+/// request counters).  Each response is written as one flushed line,
+/// and a failed write ends the conversation — transport errors stay
+/// confined to this stream.  Streaming queries
 /// work here too (frames are written back-to-back); request deadlines
 /// never expire in this mode because execution starts the moment a
 /// request is read.  Returns true when the client requested shutdown,

@@ -108,7 +108,7 @@ std::vector<Combination> enumerate_combinations(const System& system,
 
 std::vector<Combination> unschedulable_combinations(const System& system,
                                                     const OverloadStructure& structure, Time slack,
-                                                    std::size_t max_count, bool minimal_only) {
+                                                    std::size_t max_count) {
   WHARF_EXPECT(slack >= 0,
                "unschedulable_combinations requires non-negative slack (a negative slack means "
                "the chain misses deadlines even without overload); got "
@@ -117,15 +117,13 @@ std::vector<Combination> unschedulable_combinations(const System& system,
   std::vector<Combination> out;
   for (Combination& c : all) {
     if (c.cost <= slack) continue;  // schedulable by Eq. (5)
-    if (minimal_only) {
-      Time min_member = kTimeInfinity;
-      for (const ActiveSegmentId& id : c.segments) {
-        min_member = std::min(min_member, segment_cost(structure, id));
-      }
-      // Minimal iff removing the cheapest member makes it schedulable:
-      // every proper subset then has cost <= slack as well.
-      if (c.cost - min_member > slack) continue;
+    Time min_member = kTimeInfinity;
+    for (const ActiveSegmentId& id : c.segments) {
+      min_member = std::min(min_member, segment_cost(structure, id));
     }
+    // Minimal iff removing the cheapest member makes it schedulable:
+    // every proper subset then has cost <= slack as well.
+    if (c.cost - min_member > slack) continue;
     out.push_back(std::move(c));
   }
   return out;

@@ -64,13 +64,13 @@ struct Combination {
                                                               const OverloadStructure& structure,
                                                               std::size_t max_count);
 
-/// Unschedulable combinations w.r.t. a non-negative slack threshold
-/// (Eq. 5: unschedulable iff cost > slack).  With `minimal_only`, keeps
-/// only minimal unschedulable combinations: cost > slack and
-/// cost - min_member_cost <= slack.
+/// Minimal unschedulable combinations w.r.t. a non-negative slack
+/// threshold (Eq. 5: unschedulable iff cost > slack; minimal iff also
+/// cost - min_member_cost <= slack).  Packing only the minimal ones
+/// preserves the optimum of Theorem 3 (see the file comment).
 [[nodiscard]] std::vector<Combination> unschedulable_combinations(
-    const System& system, const OverloadStructure& structure, Time slack, std::size_t max_count,
-    bool minimal_only);
+    const System& system, const OverloadStructure& structure, Time slack,
+    std::size_t max_count);
 
 /// Pretty "{(tau1,tau2),(tau5)}" rendering of a combination.
 [[nodiscard]] std::string format_combination(const System& system,

@@ -335,7 +335,7 @@ ArtifactKey overload_key(const System& system, const ModelDigests& digests, int 
                          const TwcaOptions& options, const ArtifactKey& busy_window_part) {
   KeyHasher h;
   h.text("ov").i64(target).i64(static_cast<int>(options.criterion));
-  h.u64(options.max_combinations).flag(options.minimal_only).key(busy_window_part);
+  h.u64(options.max_combinations).key(busy_window_part);
   for (const int a : system.overload_indices()) {
     if (a != target) h.i64(a).key(digests.overload(a, target));
   }
@@ -343,13 +343,7 @@ ArtifactKey overload_key(const System& system, const ModelDigests& digests, int 
 }
 
 ArtifactKey dmm_key(Count k, const TwcaOptions& options, const ArtifactKey& overload_part) {
-  return KeyHasher()
-      .text("dmm")
-      .i64(k)
-      .flag(options.cap_at_k)
-      .flag(options.use_dfs_packer)
-      .key(overload_part)
-      .finish();
+  return KeyHasher().text("dmm").i64(k).flag(options.cap_at_k).key(overload_part).finish();
 }
 
 ArtifactKey interference_key(const System& system, int target) {

@@ -70,8 +70,7 @@ TargetArtifacts build_target_artifacts(const System& system, int target,
   }
 
   data.unschedulable = unschedulable_combinations(system, data.structure, data.slack,
-                                                  options.max_combinations,
-                                                  options.minimal_only);
+                                                  options.max_combinations);
   return data;
 }
 
@@ -161,10 +160,7 @@ DmmResult dmm_from_artifacts(const System& system, int target, const LatencyResu
     packing.item_resources.push_back(std::move(resources));
   }
 
-  const ilp::PackingSolution packed =
-      solver ? solver(packing)
-             : (options.use_dfs_packer ? ilp::solve_packing_dfs(packing)
-                                       : ilp::solve_packing_ilp(packing));
+  const ilp::PackingSolution packed = solver ? solver(packing) : ilp::solve_packing_ilp(packing);
   result.packing_optimum = packed.total;
   result.solver_nodes = packed.nodes;
 

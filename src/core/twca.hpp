@@ -37,15 +37,9 @@ struct TwcaOptions {
   SchedulabilityCriterion criterion = SchedulabilityCriterion::kSufficientEq5;
   /// Cap on combination enumeration (Def. 9 can be exponential).
   std::size_t max_combinations = 1'000'000;
-  /// Keep only minimal unschedulable combinations (provably optimum-
-  /// preserving; see combinations.hpp).  Disable for ablation studies.
-  bool minimal_only = true;
   /// Additionally cap dmm(k) at k (trivially sound; the raw ILP bound can
   /// exceed k for tiny k).
   bool cap_at_k = true;
-  /// Solve the packing with the exhaustive DFS solver instead of the
-  /// branch-and-bound ILP (cross-check / ablation path).
-  bool use_dfs_packer = false;
 };
 
 /// Classification of a DMM query outcome.
@@ -97,10 +91,10 @@ struct DmmResult {
 // remains the convenient per-system façade over the same functions.
 
 /// Injectable solver for the Theorem-3 packing step.  The default (an
-/// empty function) picks solve_packing_ilp / solve_packing_dfs per
-/// TwcaOptions::use_dfs_packer; the Engine injects a solver that caches
-/// solutions by problem content and splits independent subproblems
-/// across its worker pool.
+/// empty function) is ilp::solve_packing_ilp; the Engine injects a
+/// solver that caches solutions by problem content and splits
+/// independent subproblems across its worker pool, and the test oracles
+/// inject an exhaustive DFS cross-check.
 using PackingSolver = std::function<ilp::PackingSolution(const ilp::PackingProblem&)>;
 
 /// The k-independent artifacts of Theorem 3 for one target chain: the
@@ -141,13 +135,17 @@ struct TargetArtifacts {
 /// K/WCL/N_b, slack, active segments, unschedulable combinations).
 class TwcaAnalyzer {
  public:
+  /// Analyzes `system` (owned) under `options`; nothing is computed
+  /// until the first query.
   explicit TwcaAnalyzer(System system, TwcaOptions options = {});
   ~TwcaAnalyzer();
 
   TwcaAnalyzer(TwcaAnalyzer&&) noexcept;
   TwcaAnalyzer& operator=(TwcaAnalyzer&&) noexcept;
 
+  /// The analyzed system.
   [[nodiscard]] const System& system() const;
+  /// The options every query runs under.
   [[nodiscard]] const TwcaOptions& options() const;
 
   /// Full latency analysis (Theorem 2), cached per chain.

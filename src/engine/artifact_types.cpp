@@ -14,10 +14,6 @@ std::size_t weight_of(const InterferenceContext& ctx) {
   return total;
 }
 
-std::size_t weight_of(const BusyWindowBatch& batch) {
-  return sizeof(batch) + batch.results.capacity() * sizeof(batch.results[0]);
-}
-
 std::size_t weight_of(const LatencyResult& r) {
   return sizeof(r) + util::heap_bytes(r.busy_times) + util::heap_bytes(r.reason);
 }

@@ -17,8 +17,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <vector>
 
 #include "core/twca.hpp"
 #include "ilp/packing.hpp"
@@ -30,7 +28,9 @@ namespace wharf {
 /// type-erased value.  Written per record into store snapshots, so the
 /// numeric values are frozen: never renumber or reuse one.  kUntyped (0)
 /// marks entries inserted through the legacy untagged API — they are
-/// skipped by save() (nothing knows how to serialize them).
+/// skipped by save() (nothing knows how to serialize them).  Tag 6 is
+/// retired: it named a batched busy-window marker that format-2
+/// snapshots carried; a record with tag 6 now reads as corruption.
 enum class ArtifactType : std::uint8_t {
   kUntyped = 0,             ///< no tag recorded; not persistable
   kInterferenceContext = 1, ///< stage 1, InterferenceContext
@@ -38,25 +38,11 @@ enum class ArtifactType : std::uint8_t {
   kTargetArtifacts = 3,     ///< stage 3, TargetArtifacts
   kDmmResult = 4,           ///< stage 4, DmmResult
   kPackingSolution = 5,     ///< stage 5, ilp::PackingSolution
-  kBusyWindowBatch = 6,     ///< stage 2 batch marker, BusyWindowBatch
-};
-
-/// The batched busy-window artifact of Pipeline::prime_busy_windows():
-/// a marker whose *computation* resolves every member through the
-/// normal per-member path (so members are stored, counted and reused
-/// individually) under one coarse single-flight window.  The marker
-/// itself only pins the member results it gathered.
-struct BusyWindowBatch {
-  std::vector<std::shared_ptr<const LatencyResult>> results;  ///< one per member
 };
 
 /// Resident bytes of a stage-1 interference context (struct, headers,
 /// segments, flattened arrival tables).
 [[nodiscard]] std::size_t weight_of(const InterferenceContext& ctx);
-
-/// Resident bytes of a batch marker.  Members are weighed by their own
-/// store entries; the marker carries only the pointer array.
-[[nodiscard]] std::size_t weight_of(const BusyWindowBatch& batch);
 
 /// Resident bytes of a stage-2 latency result.
 [[nodiscard]] std::size_t weight_of(const LatencyResult& r);

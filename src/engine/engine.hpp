@@ -13,8 +13,8 @@
 ///  * parallelism — independent queries (chains x k-grids x systems) are
 ///    evaluated on a worker pool (EngineOptions::jobs), with results
 ///    bit-identical to sequential execution; one target's combination-
-///    packing ILP is additionally split across the pool via a
-///    work-stealing deque over its independent subproblems;
+///    packing ILP is additionally split across the pool over its
+///    independent subproblems;
 ///  * caching — every pipeline stage (interference contexts, busy
 ///    windows, overload artifacts, dmm(k) curves, packing-ILP
 ///    solutions) is cached separately in a shared ArtifactStore, keyed
@@ -291,7 +291,7 @@ struct AnalysisReport {
 
 /// Construction-time knobs of an Engine (immutable afterwards).
 struct EngineOptions {
-  /// Worker threads for query evaluation and intra-ILP work stealing;
+  /// Worker threads for query evaluation and the intra-ILP split;
   /// 1 = sequential, 0 = all hardware threads.
   int jobs = 1;
   /// Artifact-store weight budget in bytes (admission and LRU eviction

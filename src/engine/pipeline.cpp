@@ -1,6 +1,5 @@
 #include "engine/pipeline.hpp"
 
-#include <algorithm>
 #include <exception>
 #include <functional>
 #include <map>
@@ -36,15 +35,13 @@ template <>
 constexpr ArtifactType artifact_tag<DmmResult> = ArtifactType::kDmmResult;
 template <>
 constexpr ArtifactType artifact_tag<ilp::PackingSolution> = ArtifactType::kPackingSolution;
-template <>
-constexpr ArtifactType artifact_tag<BusyWindowBatch> = ArtifactType::kBusyWindowBatch;
 
 /// Key of a packing problem's content (the ILP stage key — two targets
 /// or k values yielding the same capacities and incidence share one
 /// solve).
-ArtifactKey packing_key(const ilp::PackingProblem& problem, bool use_dfs) {
+ArtifactKey packing_key(const ilp::PackingProblem& problem) {
   KeyHasher h;
-  h.text("ilp").flag(use_dfs).u64(problem.capacities.size());
+  h.text("ilp").u64(problem.capacities.size());
   for (const Count c : problem.capacities) h.i64(c);
   h.u64(problem.item_resources.size());
   for (const auto& item : problem.item_resources) {
@@ -262,43 +259,6 @@ std::shared_ptr<const LatencyResult> Pipeline::latency_without_overload(int targ
       });
 }
 
-void Pipeline::prime_busy_windows(const std::vector<std::pair<int, bool>>& members) {
-  // Canonical member set: valid chain indices only (invalid ones surface
-  // their errors in the individual queries), sorted and deduplicated so
-  // the batch key is order-independent.
-  std::vector<std::pair<int, bool>> sorted;
-  sorted.reserve(members.size());
-  for (const auto& member : members) {
-    if (member.first >= 0 && member.first < system().size()) sorted.push_back(member);
-  }
-  std::sort(sorted.begin(), sorted.end());
-  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-  if (sorted.size() < 2) return;  // nothing to batch
-
-  // Batch key: the member count and member busy-window keys — the same
-  // member set over the same model slices names the same artifact.
-  KeyHasher batch;
-  batch.text("bwb").u64(sorted.size());
-  for (const auto& [target, without_overload] : sorted) {
-    batch.key(state_->busy_window_key_for(target, without_overload));
-  }
-  const ArtifactKey key = batch.finish();
-  try {
-    (void)state_->acquire<BusyWindowBatch>(ArtifactStage::kBusyWindow, key, [&] {
-      BusyWindowBatch batch;
-      batch.results.reserve(sorted.size());
-      for (const auto& [target, without_overload] : sorted) {
-        batch.results.push_back(without_overload ? latency_without_overload(target)
-                                                 : latency(target));
-      }
-      return batch;
-    });
-  } catch (...) {
-    // A failing member poisons only the batch marker; the individual
-    // queries re-resolve the member and report its own error.
-  }
-}
-
 std::shared_ptr<const TargetArtifacts> Pipeline::overload_artifacts(int target) {
   return state_->acquire<TargetArtifacts>(
       ArtifactStage::kOverload, state_->overload_key_for(target), [&] {
@@ -323,11 +283,9 @@ DmmResult Pipeline::dmm(int target, Count k) {
         const auto full = latency(target);
         const auto artifacts = overload_artifacts(target);
         const PackingSolver solver = [this](const ilp::PackingProblem& problem) {
-          const ArtifactKey key = packing_key(problem, state_->options.use_dfs_packer);
-          return *state_->acquire<ilp::PackingSolution>(ArtifactStage::kIlp, key, [&] {
-            return ilp::solve_packing_split(problem, state_->shared->jobs,
-                                            state_->options.use_dfs_packer);
-          });
+          return *state_->acquire<ilp::PackingSolution>(
+              ArtifactStage::kIlp, packing_key(problem),
+              [&] { return ilp::solve_packing_split(problem, state_->shared->jobs); });
         };
         return dmm_from_artifacts(system(), target, *full, *artifacts, k, state_->options,
                                   solver);

@@ -74,7 +74,7 @@ using StageCounters = std::array<StageDiagnostics, kArtifactStageCount>;
 class Pipeline {
  public:
   /// `system` and `store` must outlive the pipeline; `epoch` is the
-  /// request's store epoch; `jobs` sizes the intra-ILP work stealing;
+  /// request's store epoch; `jobs` sizes the intra-ILP split;
   /// `digests` is the digest table of `system` (sessions share theirs,
   /// derived incrementally across priority deltas).
   Pipeline(const System& system, const TwcaOptions& options, ArtifactStore& store,
@@ -94,17 +94,6 @@ class Pipeline {
   /// overload-free variants.
   [[nodiscard]] std::shared_ptr<const LatencyResult> latency(int target);
   [[nodiscard]] std::shared_ptr<const LatencyResult> latency_without_overload(int target);
-
-  /// Batches the busy-window resolution of several (chain index,
-  /// without_overload) members into one store artifact: the batch's
-  /// compute resolves every member through the normal per-member path
-  /// (so members stay individually cached and counted) under a single
-  /// coarse single-flight window — concurrent requests of the same
-  /// member set join one in-flight computation instead of racing on
-  /// µs-scale per-target flights.  Members are deduplicated; fewer than
-  /// two distinct valid members is a no-op.  Member failures are
-  /// swallowed here and surface in the individual queries.
-  void prime_busy_windows(const std::vector<std::pair<int, bool>>& members);
 
   /// Stage 3: k-independent overload artifacts of `target`.
   [[nodiscard]] std::shared_ptr<const TargetArtifacts> overload_artifacts(int target);

@@ -26,8 +26,7 @@ std::string model_fingerprint(const System& system, const TwcaOptions& o) {
   std::ostringstream os;
   os << io::serialize_system(system) << '\n'
      << "criterion=" << static_cast<int>(o.criterion) << " max_combinations="
-     << o.max_combinations << " minimal_only=" << o.minimal_only << " cap_at_k=" << o.cap_at_k
-     << " use_dfs_packer=" << o.use_dfs_packer
+     << o.max_combinations << " cap_at_k=" << o.cap_at_k
      << " max_busy_windows=" << o.analysis.max_busy_windows
      << " max_fixed_point_iterations=" << o.analysis.max_fixed_point_iterations
      << " divergence_guard=" << o.analysis.divergence_guard
@@ -594,36 +593,6 @@ AnalysisReport Session::collect(std::vector<QueryResult> results) {
 }
 
 AnalysisReport Session::serve(const std::vector<Query>& queries) {
-  // Collect the busy-window members this batch will resolve and prime
-  // them as one coarse batched store artifact before fanning out (see
-  // Pipeline::prime_busy_windows): concurrent connections running the
-  // same batch then join a single in-flight computation instead of
-  // racing on µs-scale per-target flights.  Unknown chain names are
-  // skipped here — the individual queries report them.
-  std::vector<std::pair<int, bool>> members;
-  for (const Query& query : queries) {
-    if (const auto* latency = std::get_if<LatencyQuery>(&query)) {
-      if (const auto index = impl_->model->chain_index(latency->chain)) {
-        members.emplace_back(*index, latency->without_overload);
-      }
-    } else if (const auto* dmm = std::get_if<DmmQuery>(&query)) {
-      if (const auto index = impl_->model->chain_index(dmm->chain)) {
-        if (!impl_->model->chain(*index).is_overload()) members.emplace_back(*index, false);
-      }
-    } else if (const auto* weakly = std::get_if<WeaklyHardQuery>(&query)) {
-      if (const auto index = impl_->model->chain_index(weakly->chain)) {
-        if (!impl_->model->chain(*index).is_overload()) members.emplace_back(*index, false);
-      }
-    } else if (const auto* path = std::get_if<PathLatencyQuery>(&query)) {
-      for (const std::string& name : path->chains) {
-        if (const auto index = impl_->model->chain_index(name)) {
-          members.emplace_back(*index, false);
-        }
-      }
-    }
-  }
-  impl_->pipeline->prime_busy_windows(members);
-
   std::vector<QueryResult> results(queries.size());
   util::parallel_for_index(queries.size(), impl_->jobs, [&](std::size_t q) {
     results[q] = execute(queries[q], queries.size());

@@ -419,12 +419,6 @@ std::optional<std::string> serialize_value(ArtifactType type, const void* value)
     case ArtifactType::kPackingSolution:
       put_packing(out, *static_cast<const ilp::PackingSolution*>(value));
       return out;
-    case ArtifactType::kBusyWindowBatch:
-      // The batch marker is persisted with an empty payload: its members
-      // are individually persisted LatencyResults, and nothing reads the
-      // marker's gathered pointers — residency alone is what lets a
-      // restarted serve join batched rounds without recomputation.
-      return out;
     case ArtifactType::kUntyped:
       return std::nullopt;
   }
@@ -467,12 +461,6 @@ DecodedValue decode_value(ArtifactType type, Reader& in) {
     }
     case ArtifactType::kPackingSolution: {
       auto v = std::make_shared<const ilp::PackingSolution>(get_packing(in));
-      out.weight = weight_of(*v);
-      out.value = std::move(v);
-      return out;
-    }
-    case ArtifactType::kBusyWindowBatch: {
-      auto v = std::make_shared<const BusyWindowBatch>();
       out.weight = weight_of(*v);
       out.value = std::move(v);
       return out;

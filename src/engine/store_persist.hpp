@@ -1,11 +1,11 @@
 /// \file store_persist.hpp
 /// Persistent snapshots of the ArtifactStore — the warm-restart layer.
 ///
-/// A snapshot round-trips every resident, typed artifact (the six
-/// ArtifactType values of artifact_types.hpp) through explicit
+/// A snapshot round-trips every resident, typed artifact (the five
+/// persistable ArtifactType values of artifact_types.hpp) through explicit
 /// serializers into one versioned binary file:
 ///
-///   magic "WHARFSTO" | u32 format version (2)
+///   magic "WHARFSTO" | u32 format version (3)
 ///   'R'* records: u8 stage | u8 type tag | 16-byte key
 ///        | u64 payload len | payload | u32 CRC32(stage..payload)
 ///   'F'  footer: u64 record count | u32 CRC32(count)
@@ -15,7 +15,9 @@
 /// and on every platform, so records need no translation table.  The
 /// version field sits outside any checksum on purpose — a version
 /// mismatch (such as a version-1 file, whose keys were interned
-/// fragment ids) must stay distinguishable from corruption.
+/// fragment ids, or a version-2 file, whose keys also digested the
+/// retired packer and combination-set flags and which may carry the
+/// retired tag 6) must stay distinguishable from corruption.
 ///
 /// Durability contract: save() builds the entire snapshot in memory,
 /// writes it to a temporary file in the target directory, fsyncs, and
@@ -48,7 +50,7 @@ namespace wharf {
 /// Version tag of the snapshot format this build reads and writes.
 /// Bump on any incompatible layout change; readers reject other
 /// versions (cold start, not corruption).
-inline constexpr std::uint32_t kStoreFormatVersion = 2;
+inline constexpr std::uint32_t kStoreFormatVersion = 3;
 
 /// Knobs of StoreSnapshot::save().
 struct StoreSaveOptions {

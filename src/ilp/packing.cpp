@@ -7,7 +7,7 @@
 
 #include "ilp/branch_and_bound.hpp"
 #include "util/expect.hpp"
-#include "util/work_stealing.hpp"
+#include "util/worker_pool.hpp"
 
 namespace wharf::ilp {
 
@@ -66,82 +66,6 @@ PackingSolution solve_packing_ilp(const PackingProblem& problem) {
           static_cast<Count>(std::llround(sol.x[static_cast<std::size_t>(i)]));
     }
   }
-  return out;
-}
-
-namespace {
-
-/// Optimistic completion bound: sum over the remaining items of the
-/// largest multiplicity each could take if it were alone (capacities not
-/// decremented between items), which dominates any feasible completion.
-Count optimistic_bound(const PackingProblem& problem, std::size_t first_item,
-                       const std::vector<Count>& remaining) {
-  Count bound = 0;
-  for (std::size_t i = first_item; i < problem.item_resources.size(); ++i) {
-    Count item_max = std::numeric_limits<Count>::max();
-    for (int r : problem.item_resources[i]) {
-      item_max = std::min(item_max, remaining[static_cast<std::size_t>(r)]);
-    }
-    if (item_max == std::numeric_limits<Count>::max()) item_max = 0;
-    bound += item_max;
-  }
-  return bound;
-}
-
-struct DfsState {
-  const PackingProblem* problem = nullptr;
-  std::vector<Count> remaining;
-  std::vector<Count> counts;
-  std::vector<Count> best_counts;
-  Count best = 0;
-  long long nodes = 0;
-};
-
-void dfs(DfsState& state, std::size_t item, Count packed) {
-  ++state.nodes;
-  if (packed > state.best) {
-    state.best = packed;
-    state.best_counts = state.counts;
-  }
-  if (item >= state.problem->item_resources.size()) return;
-  if (packed + optimistic_bound(*state.problem, item, state.remaining) <= state.best) return;
-
-  Count item_max = std::numeric_limits<Count>::max();
-  for (int r : state.problem->item_resources[item]) {
-    item_max = std::min(item_max, state.remaining[static_cast<std::size_t>(r)]);
-  }
-  // Try the largest multiplicities first: good incumbents early.
-  for (Count take = item_max; take >= 0; --take) {
-    for (int r : state.problem->item_resources[item]) {
-      state.remaining[static_cast<std::size_t>(r)] -= take;
-    }
-    state.counts[item] = take;
-    dfs(state, item + 1, packed + take);
-    state.counts[item] = 0;
-    for (int r : state.problem->item_resources[item]) {
-      state.remaining[static_cast<std::size_t>(r)] += take;
-    }
-  }
-}
-
-}  // namespace
-
-PackingSolution solve_packing_dfs(const PackingProblem& problem) {
-  validate(problem);
-  PackingSolution out;
-  out.counts.assign(problem.item_resources.size(), 0);
-  if (problem.item_resources.empty()) return out;
-
-  DfsState state;
-  state.problem = &problem;
-  state.remaining = problem.capacities;
-  state.counts.assign(problem.item_resources.size(), 0);
-  state.best_counts = state.counts;
-  dfs(state, 0, 0);
-
-  out.total = state.best;
-  out.counts = state.best_counts;
-  out.nodes = state.nodes;
   return out;
 }
 
@@ -207,19 +131,18 @@ PackingPartition partition_packing(const PackingProblem& problem) {
   return partition;
 }
 
-PackingSolution solve_packing_split(const PackingProblem& problem, int jobs, bool use_dfs) {
+PackingSolution solve_packing_split(const PackingProblem& problem, int jobs) {
   const PackingPartition partition = partition_packing(problem);
   PackingSolution out;
   out.counts.assign(problem.item_resources.size(), 0);
   if (partition.subproblems.empty()) return out;
 
-  // Every subproblem writes its own preallocated slot; work stealing
+  // Every subproblem writes its own preallocated slot; the worker count
   // only changes the schedule, so the assembled solution is identical
   // for any jobs value.
   std::vector<PackingSolution> solved(partition.subproblems.size());
-  util::work_steal_for_index(partition.subproblems.size(), jobs, [&](std::size_t s) {
-    solved[s] = use_dfs ? solve_packing_dfs(partition.subproblems[s])
-                        : solve_packing_ilp(partition.subproblems[s]);
+  util::parallel_for_index(partition.subproblems.size(), jobs, [&](std::size_t s) {
+    solved[s] = solve_packing_ilp(partition.subproblems[s]);
   });
 
   for (std::size_t s = 0; s < partition.subproblems.size(); ++s) {

@@ -7,10 +7,12 @@
 /// to maximize the total number of packed copies — i.e. the number of
 /// busy windows that can be made unschedulable.
 ///
-/// Two exact solvers are provided: the production path reduces to the ILP
-/// of `branch_and_bound.hpp` (mirroring the paper's use of an ILP solver),
-/// and an independent depth-first enumeration serves as a cross-check in
-/// tests and ablation benchmarks.
+/// Theorem 3 needs one exact optimum, so there is one exact solver: the
+/// ILP of `branch_and_bound.hpp` (mirroring the paper's use of an ILP
+/// solver), optionally split over independent subproblems.  An
+/// independent depth-first enumeration cross-checks it from the test
+/// oracles (oracles/packing_reference.hpp); it is not part of the
+/// library.
 
 #ifndef WHARF_ILP_PACKING_HPP
 #define WHARF_ILP_PACKING_HPP
@@ -37,15 +39,13 @@ struct PackingSolution {
   Count total = 0;
   /// Optimal multiplicity per item.
   std::vector<Count> counts;
-  /// Search nodes explored (DFS) or B&B nodes (ILP path).
+  /// Search nodes explored by the solver (branch-and-bound nodes for
+  /// the library's solvers).
   long long nodes = 0;
 };
 
-/// Exact solver via the branch-and-bound ILP (production path).
+/// Exact solver via the branch-and-bound ILP.
 [[nodiscard]] PackingSolution solve_packing_ilp(const PackingProblem& problem);
-
-/// Exact solver via bounded depth-first enumeration (cross-check path).
-[[nodiscard]] PackingSolution solve_packing_dfs(const PackingProblem& problem);
 
 /// An exact decomposition of a packing problem into independent
 /// subproblems: items coupled (transitively) through shared resources
@@ -67,13 +67,12 @@ struct PackingPartition {
 [[nodiscard]] PackingPartition partition_packing(const PackingProblem& problem);
 
 /// Exact solve via decomposition: partitions the problem and solves the
-/// independent subproblems on `jobs` workers through a work-stealing
-/// deque (subproblem sizes are skewed; stealing balances them).  The
-/// result — total, per-item counts, summed node count — is bit-identical
-/// for every jobs value, including 1.  `use_dfs` selects the DFS
-/// cross-check solver per subproblem instead of the B&B ILP.
-[[nodiscard]] PackingSolution solve_packing_split(const PackingProblem& problem, int jobs,
-                                                  bool use_dfs = false);
+/// independent subproblems with solve_packing_ilp on `jobs` workers
+/// (util::parallel_for_index; a free worker takes the next subproblem,
+/// which balances skewed sizes).  The result — total, per-item counts,
+/// summed node count — is bit-identical for every jobs value,
+/// including 1.
+[[nodiscard]] PackingSolution solve_packing_split(const PackingProblem& problem, int jobs);
 
 /// Validates a packing problem (non-negative capacities, resource indices
 /// in range, no duplicate resource within an item); throws

@@ -76,20 +76,6 @@ std::string oversized_line_error(std::size_t max_line_bytes) {
       util::cat("request line exceeds the ", max_line_bytes, "-byte protocol bound")));
 }
 
-bool FramedWriter::write_line(const std::string& line) {
-  const util::MutexLock guard(mutex_);
-  if (failed_) return false;
-  out_ << line << '\n';
-  out_.flush();
-  failed_ = out_.fail();
-  return !failed_;
-}
-
-bool FramedWriter::failed() const {
-  const util::MutexLock guard(mutex_);
-  return failed_;
-}
-
 // ---------------------------------------------------------------------
 // JsonValue accessors
 // ---------------------------------------------------------------------
@@ -533,12 +519,8 @@ TwcaOptions parse_twca_options(const JsonValue& value) {
       const long long v = field.as_int();
       WHARF_EXPECT(v >= 1, "max_combinations must be >= 1, got " << v);
       options.max_combinations = static_cast<std::size_t>(v);
-    } else if (key == "minimal_only") {
-      options.minimal_only = field.as_bool();
     } else if (key == "cap_at_k") {
       options.cap_at_k = field.as_bool();
-    } else if (key == "use_dfs_packer") {
-      options.use_dfs_packer = field.as_bool();
     } else if (key == "max_busy_windows") {
       const long long v = field.as_int();
       WHARF_EXPECT(v >= 1, "max_busy_windows must be >= 1, got " << v);
@@ -568,12 +550,8 @@ void write_twca_options(JsonWriter& w, const TwcaOptions& options) {
                                                                   : "sufficient_eq5");
   w.key("max_combinations");
   w.value(static_cast<long long>(options.max_combinations));
-  w.key("minimal_only");
-  w.value(options.minimal_only);
   w.key("cap_at_k");
   w.value(options.cap_at_k);
-  w.key("use_dfs_packer");
-  w.value(options.use_dfs_packer);
   w.key("max_busy_windows");
   w.value(options.analysis.max_busy_windows);
   w.key("max_fixed_point_iterations");

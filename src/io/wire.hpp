@@ -43,9 +43,7 @@
 #include "engine/engine.hpp"
 #include "engine/session.hpp"
 #include "io/json.hpp"
-#include "util/mutex.hpp"
 #include "util/status.hpp"
-#include "util/thread_annotations.hpp"
 
 namespace wharf::io {
 
@@ -171,32 +169,6 @@ bool read_line_bounded(std::istream& in, std::string& line, std::size_t max_line
 /// The error envelope for an over-bound request line (shared wording
 /// between the stdio and async transports).
 [[nodiscard]] std::string oversized_line_error(std::size_t max_line_bytes);
-
-/// Thread-safe framed response writer: write_line() emits exactly one
-/// `line + '\n'` and flushes, atomically under an internal mutex, so
-/// concurrent writers on one stream can never interleave partial lines.
-/// A transport failure is sticky and per-writer: write_line() returns
-/// false from then on, isolating one dead client from the rest of the
-/// process (the caller stops serving that connection; nothing throws).
-class FramedWriter {
- public:
-  /// Wraps `out`, which must outlive the writer.
-  explicit FramedWriter(std::ostream& out) : out_(out) {}
-
-  FramedWriter(const FramedWriter&) = delete;
-  FramedWriter& operator=(const FramedWriter&) = delete;
-
-  /// Writes one framed line; returns false once the stream has failed.
-  bool write_line(const std::string& line) WHARF_EXCLUDES(mutex_);
-
-  /// True after any write_line() observed a stream failure.
-  [[nodiscard]] bool failed() const WHARF_EXCLUDES(mutex_);
-
- private:
-  std::ostream& out_ WHARF_GUARDED_BY(mutex_);
-  mutable util::Mutex mutex_;
-  bool failed_ WHARF_GUARDED_BY(mutex_) = false;
-};
 
 // ---------------------------------------------------------------------
 // Requests

@@ -9,8 +9,8 @@
 /// the same handle_request()/run_query_stream(), so protocol semantics
 /// cannot drift between them.  Responses are produced as complete
 /// NDJSON lines (no trailing newline) handed to an Emit callback — the
-/// transport decides whether that means a blocking FramedWriter write
-/// or an append to a reactor-drained write queue.
+/// transport decides whether that means a blocking, flushed write to a
+/// stream or an append to a reactor-drained write queue.
 ///
 /// Wire formats, frame layouts, and field tables are normative in
 /// docs/serve-protocol.md.

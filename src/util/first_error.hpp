@@ -1,8 +1,8 @@
 /// \file first_error.hpp
 /// First-exception collector for fork-join workers: each worker wraps
 /// its body in capture(), the fork-join caller rethrows after the join.
-/// Replaces the `std::exception_ptr + mutex` pair parallel_for_index and
-/// work_steal_for_index used to duplicate, with the locking discipline
+/// parallel_for_index uses it instead of an ad-hoc
+/// `std::exception_ptr + mutex` pair, with the locking discipline
 /// annotated (util/mutex.hpp) instead of implicit.
 
 #ifndef WHARF_UTIL_FIRST_ERROR_HPP

@@ -20,7 +20,9 @@ namespace wharf::util {
 [[nodiscard]] int hardware_jobs();
 
 /// Runs body(0), ..., body(n-1), distributing indices over `jobs`
-/// threads (atomic work stealing).  jobs <= 1 runs inline on the caller
+/// threads through one shared atomic counter: whichever thread is free
+/// takes the next index, which also balances skewed body costs (bodies
+/// never spawn bodies).  jobs <= 1 runs inline on the caller
 /// thread; jobs == 0 uses hardware_jobs().  The first exception thrown
 /// by any body is rethrown on the caller thread after all workers have
 /// drained (bodies that already started still complete).

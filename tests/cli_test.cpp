@@ -326,6 +326,32 @@ TEST(Cli, MissingOptionValue) {
   EXPECT_NE(r.err.find("missing value"), std::string::npos);
 }
 
+TEST(Cli, UnknownFlagIsAUsageErrorNamingFlagAndSubcommand) {
+  // Each subcommand accepts exactly the flags its usage line lists: a
+  // typo, a `--flag=value` spelling or another subcommand's flag is
+  // refused before anything runs, instead of being ignored.
+  const struct {
+    std::vector<std::string> args;
+    std::string flag;
+    std::string command;
+  } cases[] = {
+      {{"analyze", "-", "--jsn"}, "--jsn", "analyze"},
+      {{"analyze", "-", "--jobs=4"}, "--jobs=4", "analyze"},
+      {{"dmm", "-", "sigma_c", "--jobs", "2"}, "--jobs", "dmm"},
+      {{"simulate", "-", "--json"}, "--json", "simulate"},
+      {{"validate", "-", "--k", "3"}, "--k", "validate"},
+      {{"serve", "--workers", "2"}, "--workers", "serve"},
+  };
+  for (const auto& c : cases) {
+    const CliRun r = invoke(c.args, case_study_text());
+    EXPECT_EQ(r.exit_code, 1) << c.flag;
+    EXPECT_TRUE(r.out.empty()) << c.flag << ": " << r.out;
+    EXPECT_NE(r.err.find("unknown flag '" + c.flag + "' for wharf " + c.command),
+              std::string::npos)
+        << r.err;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // path subcommand
 // ---------------------------------------------------------------------------
@@ -528,7 +554,7 @@ TEST(Cli, ServeOverloadKeysTrackTargetTailPriorityAcrossSessions) {
   const std::vector<std::string> lines = lines_of(r.out);
   ASSERT_EQ(lines.size(), 6u) << r.out;
 
-  const CliRun oneshot = invoke({"dmm", "-", "--chain", "b", "--k", "10"}, system_text(3, 2));
+  const CliRun oneshot = invoke({"dmm", "-", "b", "--k", "10"}, system_text(3, 2));
   EXPECT_EQ(oneshot.exit_code, 0) << oneshot.err;
   EXPECT_NE(oneshot.out.find("dmm_b(10) = 10 "), std::string::npos) << oneshot.out;
   EXPECT_NE(lines[5].find(R"("dmm":10,)"), std::string::npos) << lines[5];

@@ -152,9 +152,8 @@ TEST(Engine, RepeatedRequestHitsArtifactCache) {
   EXPECT_EQ(first.diagnostics.cache_misses, total_lookups(first.diagnostics));
   // Real store lookups, not a 0-or-1 flag: the standard request resolves
   // two busy-window artifacts (full + overload-free) per regular chain,
-  // the case study has two regular chains, and serve() adds one batched
-  // prime marker on top (Pipeline::prime_busy_windows).
-  EXPECT_EQ(first.diagnostics.stages[kBusyWindowStage].lookups, 5u);
+  // and the case study has two regular chains.
+  EXPECT_EQ(first.diagnostics.stages[kBusyWindowStage].lookups, 4u);
   EXPECT_GT(first.diagnostics.stages[kBusyWindowStage].bytes_inserted, 0u);
 
   const AnalysisReport second = engine.run(request);
@@ -310,8 +309,8 @@ TEST(Engine, IncrementalInvalidationRecomputesOnlyAffectedTarget) {
   const AnalysisReport cold = engine.run(AnalysisRequest::standard(sweep_system(40)));
   ASSERT_TRUE(cold.ok()) << cold.worst_status().to_string();
   const StageDiagnostics cold_bw = cold.diagnostics.stages[kBusyWindowStage];
-  // 8 targets x (full + overload-free) plus the serve-round batch marker.
-  EXPECT_EQ(cold_bw.misses, 17u);
+  // 8 targets x (full + overload-free).
+  EXPECT_EQ(cold_bw.misses, 16u);
   EXPECT_EQ(cold_bw.hits, 0u);
 
   // Mutate one chain's priority (40 -> 45 crosses no other priority).
@@ -319,11 +318,10 @@ TEST(Engine, IncrementalInvalidationRecomputesOnlyAffectedTarget) {
   ASSERT_TRUE(warm.ok()) << warm.worst_status().to_string();
   const StageDiagnostics warm_bw = warm.diagnostics.stages[kBusyWindowStage];
   // Strictly fewer busy-window computations than cold: only the mutated
-  // target's two variants recompute (plus the batch marker, whose key
-  // embeds the mutated slice), every other target's slice is untouched
-  // by the tweak.
+  // target's two variants recompute, every other target's slice is
+  // untouched by the tweak.
   EXPECT_LT(warm_bw.misses, cold_bw.misses);
-  EXPECT_EQ(warm_bw.misses, 3u);
+  EXPECT_EQ(warm_bw.misses, 2u);
   EXPECT_EQ(warm_bw.hits, 14u);
 
   // Reused bit-identically: the warm report equals a cold analysis of

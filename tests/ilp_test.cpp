@@ -9,6 +9,7 @@
 
 #include "ilp/branch_and_bound.hpp"
 #include "ilp/packing.hpp"
+#include "oracles/packing_reference.hpp"
 #include "util/expect.hpp"
 
 namespace wharf::ilp {
@@ -94,7 +95,7 @@ TEST(Packing, SingleItemSingleResource) {
   p.capacities = {3};
   p.item_resources = {{0}};
   EXPECT_EQ(solve_packing_ilp(p).total, 3);
-  EXPECT_EQ(solve_packing_dfs(p).total, 3);
+  EXPECT_EQ(reference::solve_packing_dfs(p).total, 3);
 }
 
 TEST(Packing, CaseStudyShape) {
@@ -104,7 +105,7 @@ TEST(Packing, CaseStudyShape) {
   p.capacities = {3, 3};
   p.item_resources = {{0, 1}};
   EXPECT_EQ(solve_packing_ilp(p).total, 3);
-  EXPECT_EQ(solve_packing_dfs(p).total, 3);
+  EXPECT_EQ(reference::solve_packing_dfs(p).total, 3);
 }
 
 TEST(Packing, DisjointItemsAdd) {
@@ -112,7 +113,7 @@ TEST(Packing, DisjointItemsAdd) {
   p.capacities = {2, 5};
   p.item_resources = {{0}, {1}};
   EXPECT_EQ(solve_packing_ilp(p).total, 7);
-  EXPECT_EQ(solve_packing_dfs(p).total, 7);
+  EXPECT_EQ(reference::solve_packing_dfs(p).total, 7);
 }
 
 TEST(Packing, SharedResourceLimits) {
@@ -121,7 +122,7 @@ TEST(Packing, SharedResourceLimits) {
   p.capacities = {4, 2};
   p.item_resources = {{0}, {0, 1}};
   EXPECT_EQ(solve_packing_ilp(p).total, 4);
-  EXPECT_EQ(solve_packing_dfs(p).total, 4);
+  EXPECT_EQ(reference::solve_packing_dfs(p).total, 4);
 }
 
 TEST(Packing, ZeroCapacityBlocksItems) {
@@ -129,14 +130,14 @@ TEST(Packing, ZeroCapacityBlocksItems) {
   p.capacities = {0, 3};
   p.item_resources = {{0}, {0, 1}, {1}};
   EXPECT_EQ(solve_packing_ilp(p).total, 3);
-  EXPECT_EQ(solve_packing_dfs(p).total, 3);
+  EXPECT_EQ(reference::solve_packing_dfs(p).total, 3);
 }
 
 TEST(Packing, EmptyProblem) {
   PackingProblem p;
   p.capacities = {1, 2};
   EXPECT_EQ(solve_packing_ilp(p).total, 0);
-  EXPECT_EQ(solve_packing_dfs(p).total, 0);
+  EXPECT_EQ(reference::solve_packing_dfs(p).total, 0);
 }
 
 TEST(Packing, ValidationRejectsBadResource) {
@@ -165,7 +166,7 @@ TEST(Packing, CountsAreConsistentWithTotal) {
   p.capacities = {4, 3, 5};
   p.item_resources = {{0, 1}, {1, 2}, {0, 2}, {2}};
   const PackingSolution ilp_sol = solve_packing_ilp(p);
-  const PackingSolution dfs_sol = solve_packing_dfs(p);
+  const PackingSolution dfs_sol = reference::solve_packing_dfs(p);
   EXPECT_EQ(ilp_sol.total, dfs_sol.total);
   Count sum = 0;
   for (Count c : ilp_sol.counts) sum += c;
@@ -202,11 +203,11 @@ TEST_P(PackingRandomCross, IlpMatchesDfs) {
   }
 
   const PackingSolution a = solve_packing_ilp(p);
-  const PackingSolution b = solve_packing_dfs(p);
+  const PackingSolution b = reference::solve_packing_dfs(p);
   EXPECT_EQ(a.total, b.total) << "seed " << GetParam();
 
   // The decomposed solver is exact too, for every worker count, and the
-  // work-stealing schedule never changes the assembled solution.
+  // parallel schedule never changes the assembled solution.
   const PackingSolution split1 = solve_packing_split(p, 1);
   const PackingSolution split4 = solve_packing_split(p, 4);
   EXPECT_EQ(split1.total, a.total) << "seed " << GetParam();
@@ -218,7 +219,7 @@ TEST_P(PackingRandomCross, IlpMatchesDfs) {
 INSTANTIATE_TEST_SUITE_P(Seeds, PackingRandomCross, ::testing::Range(0, 60));
 
 // ---------------------------------------------------------------------------
-// Partitioned (work-stealing) packing solve
+// Partitioned packing solve
 // ---------------------------------------------------------------------------
 
 TEST(PackingPartition, DisjointItemsSplitIntoSingletons) {
@@ -269,7 +270,7 @@ TEST(PackingPartition, SplitHandlesEmptyAndDfs) {
   PackingProblem p;
   p.capacities = {3, 2};
   p.item_resources = {{0}, {1}, {0, 1}};
-  EXPECT_EQ(solve_packing_split(p, 2, /*use_dfs=*/true).total, solve_packing_ilp(p).total);
+  EXPECT_EQ(solve_packing_split(p, 2).total, reference::solve_packing_dfs(p).total);
 }
 
 }  // namespace

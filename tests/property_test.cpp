@@ -25,6 +25,7 @@
 #include "gen/random_systems.hpp"
 #include "io/system_format.hpp"
 #include "oracles/busy_window_reference.hpp"
+#include "oracles/packing_reference.hpp"
 #include "sim/arrival_sequence.hpp"
 #include "sim/busy_windows.hpp"
 #include "sim/simulator.hpp"
@@ -197,16 +198,13 @@ TEST_P(RandomSystemProperties, MinimalAndFullEnumerationAgree) {
   spec.overload_chains = 2;
   const System sys = gen::random_system(spec, rng);
 
-  TwcaOptions minimal;
-  minimal.minimal_only = true;
-  TwcaOptions full;
-  full.minimal_only = false;
-  TwcaAnalyzer a{sys, minimal};
-  TwcaAnalyzer b{sys, full};
+  // Production keeps only the minimal combinations; the oracle packs
+  // every unschedulable one.
+  TwcaAnalyzer a{sys};
   for (int c : sys.regular_indices()) {
     for (Count k : {1, 5, 20}) {
       const DmmResult ra = a.dmm(c, k);
-      const DmmResult rb = b.dmm(c, k);
+      const DmmResult rb = reference::dmm(sys, c, k, {}, {.full_combination_set = true});
       EXPECT_EQ(ra.dmm, rb.dmm) << "chain " << sys.chain(c).name() << " k=" << k;
       EXPECT_EQ(ra.status, rb.status);
     }
@@ -219,14 +217,10 @@ TEST_P(RandomSystemProperties, DfsAndIlpPackersAgree) {
   spec.overload_chains = 2;
   const System sys = gen::random_system(spec, rng);
 
-  TwcaOptions ilp_opts;
-  TwcaOptions dfs_opts;
-  dfs_opts.use_dfs_packer = true;
-  TwcaAnalyzer ilp_an{sys, ilp_opts};
-  TwcaAnalyzer dfs_an{sys, dfs_opts};
+  TwcaAnalyzer ilp_an{sys};
   for (int c : sys.regular_indices()) {
     for (Count k : {1, 7, 30}) {
-      EXPECT_EQ(ilp_an.dmm(c, k).dmm, dfs_an.dmm(c, k).dmm)
+      EXPECT_EQ(ilp_an.dmm(c, k).dmm, reference::dmm(sys, c, k, {}, {.dfs_packer = true}).dmm)
           << "chain " << sys.chain(c).name() << " k=" << k;
     }
   }
@@ -512,7 +506,10 @@ TEST(KeyAudit, DerivedDigestsMatchFreshBuildsAndCanonicalEncodings) {
   for (int seed = 0; seed < 200; ++seed) {
     TwcaOptions options;
     options.analysis.naive_arbitrary = seed % 3 == 0;
-    options.minimal_only = seed % 4 != 0;
+    // Vary an overload-key field so the audit records keys under both
+    // of its values.
+    options.criterion = seed % 4 != 0 ? SchedulabilityCriterion::kSufficientEq5
+                                      : SchedulabilityCriterion::kExactEq3;
     ArtifactStore store;
     std::mt19937_64 rng(static_cast<std::uint64_t>(seed) + 17);
     Session current(audit_system(seed), options, store);

@@ -121,7 +121,7 @@ TEST(StorePersist, RoundTripIsBitIdenticalWithZeroResolves) {
     const std::vector<std::string> warm = run_workload(reader, systems);
 
     // The property: identical answers, and the warm replay resolved
-    // every artifact — batch markers included — from the snapshot.
+    // every artifact from the snapshot.
     EXPECT_EQ(warm, cold) << "jobs=" << jobs;
     EXPECT_EQ(insertions(reader.store_stats()) - insertions(before), 0u) << "jobs=" << jobs;
   }
@@ -254,28 +254,41 @@ TEST(StorePersist, VersionMismatchIsDistinguishable) {
 }
 
 TEST(StorePersist, FormatVersionOneLoadsCold) {
-  // A version-1 snapshot (interned fragment-id keys behind a string
-  // table) is a clean version mismatch for this build, never corruption
-  // and never a partial load: magic, u32 version 1, an empty string
-  // table, a zero-record footer.
-  ASSERT_EQ(kStoreFormatVersion, 2u);
+  // Older snapshots are a clean version mismatch for this build, never
+  // corruption and never a partial load.  Version 1: interned
+  // fragment-id keys behind a string table (magic, u32 version 1, an
+  // empty string table, a zero-record footer).  Version 2: keys that
+  // also digested the retired packer and combination-set flags, here
+  // with one record under the retired tag 6 (a batched busy-window
+  // marker with an empty payload).
+  ASSERT_EQ(kStoreFormatVersion, 3u);
   std::string v1("WHARFSTO", 8);
   v1 += std::string("\x01\x00\x00\x00", 4);
   v1 += 'S';
   v1 += std::string(4 + 8 + 4, '\0');  // fragment count, payload length, CRC
   v1 += 'F';
   v1 += std::string(8 + 4, '\0');  // record count, CRC
-  TempDir dir;
-  const std::string path = store_snapshot_path(dir.path);
-  write_file(path, v1);
-  ArtifactStore store;
-  const StoreLoadResult loaded = store.load(path);
-  EXPECT_TRUE(loaded.status.is_ok());
-  EXPECT_TRUE(loaded.cold);
-  EXPECT_EQ(loaded.records_loaded, 0u);
-  EXPECT_GT(loaded.records_skipped, 0u);
-  EXPECT_NE(loaded.reason.find("version"), std::string::npos) << loaded.reason;
-  EXPECT_EQ(store.stats().resident_entries, 0u);
+  std::string v2("WHARFSTO", 8);
+  v2 += std::string("\x02\x00\x00\x00", 4);
+  v2 += 'R';
+  v2 += '\x01';  // stage: busy window
+  v2 += '\x06';  // retired tag: batch marker
+  v2 += std::string(16 + 8 + 4, '\0');  // key, payload length, CRC
+  v2 += 'F';
+  v2 += std::string("\x01", 1) + std::string(7 + 4, '\0');  // record count 1, CRC
+  for (const std::string* old : {&v1, &v2}) {
+    TempDir dir;
+    const std::string path = store_snapshot_path(dir.path);
+    write_file(path, *old);
+    ArtifactStore store;
+    const StoreLoadResult loaded = store.load(path);
+    EXPECT_TRUE(loaded.status.is_ok());
+    EXPECT_TRUE(loaded.cold);
+    EXPECT_EQ(loaded.records_loaded, 0u);
+    EXPECT_GT(loaded.records_skipped, 0u);
+    EXPECT_NE(loaded.reason.find("version"), std::string::npos) << loaded.reason;
+    EXPECT_EQ(store.stats().resident_entries, 0u);
+  }
 }
 
 TEST(StorePersist, CorruptionFuzzNeverCrashes) {

@@ -132,8 +132,6 @@ inline std::string overload_key(const System& system, int target, const TwcaOpti
   append_num(out, static_cast<int>(options.criterion));
   out += ';';
   append_num(out, static_cast<long long>(options.max_combinations));
-  out += ';';
-  append_num(out, options.minimal_only);
   out += '}' + canonical::busy_window_key(system, target, options.analysis, false);
   for (const int a : system.overload_indices()) {
     if (a == target) continue;
@@ -149,8 +147,6 @@ inline std::string dmm_key(const System& system, int target, Count k,
   append_num(out, k);
   out += ";cap=";
   append_num(out, options.cap_at_k);
-  out += ";dfs=";
-  append_num(out, options.use_dfs_packer);
   return out + ';' + canonical::overload_key(system, target, options);
 }
 

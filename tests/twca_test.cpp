@@ -6,6 +6,7 @@
 
 #include "core/case_studies.hpp"
 #include "core/twca.hpp"
+#include "oracles/packing_reference.hpp"
 #include "util/expect.hpp"
 
 namespace wharf {
@@ -90,7 +91,7 @@ TEST(Combinations, CaseStudyOnlyC3Unschedulable) {
   // 20, 30, 50).
   const System sys = date17_case_study();
   const OverloadStructure structure = overload_structure(sys, kSigmaC);
-  const auto unsched = unschedulable_combinations(sys, structure, 34, 1'000, false);
+  const auto unsched = reference::all_unschedulable_combinations(sys, structure, 34, 1'000);
   ASSERT_EQ(unsched.size(), 1u);
   EXPECT_EQ(unsched[0].cost, 50);
   EXPECT_EQ(unsched[0].segments.size(), 2u);
@@ -99,8 +100,8 @@ TEST(Combinations, CaseStudyOnlyC3Unschedulable) {
 TEST(Combinations, MinimalFilterKeepsEquivalentOptimum) {
   const System sys = date17_case_study();
   const OverloadStructure structure = overload_structure(sys, kSigmaC);
-  const auto all = unschedulable_combinations(sys, structure, 34, 1'000, false);
-  const auto minimal = unschedulable_combinations(sys, structure, 34, 1'000, true);
+  const auto all = reference::all_unschedulable_combinations(sys, structure, 34, 1'000);
+  const auto minimal = unschedulable_combinations(sys, structure, 34, 1'000);
   EXPECT_EQ(all.size(), minimal.size());  // the only unschedulable combo is minimal
 }
 
@@ -123,7 +124,7 @@ TEST(Combinations, FormatCombination) {
 TEST(Combinations, NegativeSlackRejected) {
   const System sys = date17_case_study();
   const OverloadStructure structure = overload_structure(sys, kSigmaC);
-  EXPECT_THROW(unschedulable_combinations(sys, structure, -1, 1'000, true), InvalidArgument);
+  EXPECT_THROW(unschedulable_combinations(sys, structure, -1, 1'000), InvalidArgument);
 }
 
 TEST(Combinations, TargetMustNotBeOverload) {
@@ -331,12 +332,12 @@ TEST(Twca, ExactCriterionNeverPessimizes) {
 }
 
 TEST(Twca, DfsPackerMatchesIlpPacker) {
-  TwcaOptions dfs_options;
-  dfs_options.use_dfs_packer = true;
-  TwcaAnalyzer ilp_analyzer{date17_case_study(OverloadModel::kRareOverload)};
-  TwcaAnalyzer dfs_analyzer{date17_case_study(OverloadModel::kRareOverload), dfs_options};
+  const System sys = date17_case_study(OverloadModel::kRareOverload);
+  TwcaAnalyzer ilp_analyzer{sys};
   for (Count k : {1, 3, 76, 250}) {
-    EXPECT_EQ(ilp_analyzer.dmm(kSigmaC, k).dmm, dfs_analyzer.dmm(kSigmaC, k).dmm) << "k=" << k;
+    EXPECT_EQ(ilp_analyzer.dmm(kSigmaC, k).dmm,
+              reference::dmm(sys, kSigmaC, k, {}, {.dfs_packer = true}).dmm)
+        << "k=" << k;
   }
 }
 

@@ -14,7 +14,7 @@
 #include "util/strings.hpp"
 #include "util/types.hpp"
 #include "util/weight.hpp"
-#include "util/work_stealing.hpp"
+#include "util/worker_pool.hpp"
 
 namespace wharf {
 namespace {
@@ -188,29 +188,11 @@ TEST(Weight, HeapBytesShapes) {
   EXPECT_GT(util::byte_weight(v), util::heap_bytes(v));
 }
 
-TEST(WorkStealing, DequeOwnerLifoThiefFifo) {
-  util::WorkStealingDeque deque;
-  deque.push(1);
-  deque.push(2);
-  deque.push(3);
-  EXPECT_EQ(deque.size(), 3u);
-
-  std::size_t task = 0;
-  ASSERT_TRUE(deque.steal(task));  // thief takes the oldest
-  EXPECT_EQ(task, 1u);
-  ASSERT_TRUE(deque.pop(task));  // owner takes the newest
-  EXPECT_EQ(task, 3u);
-  ASSERT_TRUE(deque.pop(task));
-  EXPECT_EQ(task, 2u);
-  EXPECT_FALSE(deque.pop(task));
-  EXPECT_FALSE(deque.steal(task));
-}
-
-TEST(WorkStealing, ForIndexRunsEveryIndexExactlyOnce) {
+TEST(ParallelForIndex, RunsEveryIndexExactlyOnce) {
   for (const int jobs : {1, 2, 4, 0}) {
     constexpr std::size_t kN = 500;
     std::vector<std::atomic<int>> runs(kN);
-    util::work_steal_for_index(kN, jobs, [&](std::size_t i) {
+    util::parallel_for_index(kN, jobs, [&](std::size_t i) {
       runs[i].fetch_add(1, std::memory_order_relaxed);
     });
     for (std::size_t i = 0; i < kN; ++i) {
@@ -219,20 +201,20 @@ TEST(WorkStealing, ForIndexRunsEveryIndexExactlyOnce) {
   }
 }
 
-TEST(WorkStealing, ForIndexHandlesEmptyAndSingle) {
+TEST(ParallelForIndex, HandlesEmptyAndSingle) {
   int calls = 0;
-  util::work_steal_for_index(0, 4, [&](std::size_t) { ++calls; });
+  util::parallel_for_index(0, 4, [&](std::size_t) { ++calls; });
   EXPECT_EQ(calls, 0);
-  util::work_steal_for_index(1, 4, [&](std::size_t i) { calls += static_cast<int>(i) + 1; });
+  util::parallel_for_index(1, 4, [&](std::size_t i) { calls += static_cast<int>(i) + 1; });
   EXPECT_EQ(calls, 1);
 }
 
-TEST(WorkStealing, SkewedTasksAllComplete) {
-  // Wildly skewed task sizes (the ILP-subproblem shape): stealing must
-  // still complete everything and the results must be deterministic.
+TEST(ParallelForIndex, SkewedTasksAllComplete) {
+  // Wildly skewed task sizes (the ILP-subproblem shape): the shared
+  // counter must still complete everything, each into its own slot.
   constexpr std::size_t kN = 64;
   std::vector<long long> results(kN, 0);
-  util::work_steal_for_index(kN, 4, [&](std::size_t i) {
+  util::parallel_for_index(kN, 4, [&](std::size_t i) {
     long long acc = 0;
     const long long rounds = i % 8 == 0 ? 200'000 : 100;
     for (long long r = 0; r < rounds; ++r) acc += static_cast<long long>(i) + r;
@@ -243,12 +225,12 @@ TEST(WorkStealing, SkewedTasksAllComplete) {
   }
 }
 
-TEST(WorkStealing, FirstExceptionPropagates) {
+TEST(ParallelForIndex, FirstExceptionPropagates) {
   EXPECT_THROW(
-      util::work_steal_for_index(100, 4,
-                                 [&](std::size_t i) {
-                                   if (i == 37) throw InvalidArgument("boom");
-                                 }),
+      util::parallel_for_index(100, 4,
+                               [&](std::size_t i) {
+                                 if (i == 37) throw InvalidArgument("boom");
+                               }),
       InvalidArgument);
 }
 

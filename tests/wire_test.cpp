@@ -157,16 +157,14 @@ TEST(WireRequests, ParsesEveryMessageKind) {
 TEST(WireOptions, OpenSessionCarriesTwcaOptions) {
   const Expected<WireRequest> r = parse_request(
       R"({"type":"open_session","session":"s","system":"system x",)"
-      R"("options":{"criterion":"exact_eq3","max_combinations":1234,"minimal_only":false,)"
-      R"("cap_at_k":false,"use_dfs_packer":true,"max_busy_windows":7,)"
+      R"("options":{"criterion":"exact_eq3","max_combinations":1234,)"
+      R"("cap_at_k":false,"max_busy_windows":7,)"
       R"("max_fixed_point_iterations":99,"divergence_guard":1000,"naive_arbitrary":true}})");
   ASSERT_TRUE(r) << r.status().to_string();
   const TwcaOptions& o = r.value().options;
   EXPECT_EQ(o.criterion, SchedulabilityCriterion::kExactEq3);
   EXPECT_EQ(o.max_combinations, 1234u);
-  EXPECT_FALSE(o.minimal_only);
   EXPECT_FALSE(o.cap_at_k);
-  EXPECT_TRUE(o.use_dfs_packer);
   EXPECT_EQ(o.analysis.max_busy_windows, 7);
   EXPECT_EQ(o.analysis.max_fixed_point_iterations, 99);
   EXPECT_EQ(o.analysis.divergence_guard, 1000);
@@ -187,9 +185,7 @@ TEST(WireOptions, TwcaOptionsRoundTripThroughTheWire) {
   TwcaOptions options;
   options.criterion = SchedulabilityCriterion::kExactEq3;
   options.max_combinations = 4321;
-  options.minimal_only = false;
   options.cap_at_k = false;
-  options.use_dfs_packer = true;
   options.analysis.max_busy_windows = 11;
   options.analysis.max_fixed_point_iterations = 22;
   options.analysis.divergence_guard = 3333;
@@ -201,9 +197,7 @@ TEST(WireOptions, TwcaOptionsRoundTripThroughTheWire) {
   const TwcaOptions parsed = parse_twca_options(parse_json(os.str()));
   EXPECT_EQ(parsed.criterion, options.criterion);
   EXPECT_EQ(parsed.max_combinations, options.max_combinations);
-  EXPECT_EQ(parsed.minimal_only, options.minimal_only);
   EXPECT_EQ(parsed.cap_at_k, options.cap_at_k);
-  EXPECT_EQ(parsed.use_dfs_packer, options.use_dfs_packer);
   EXPECT_EQ(parsed.analysis.max_busy_windows, options.analysis.max_busy_windows);
   EXPECT_EQ(parsed.analysis.max_fixed_point_iterations,
             options.analysis.max_fixed_point_iterations);
@@ -233,6 +227,22 @@ TEST(WireOptions, RejectsUnknownOrInvalidOptionFields) {
     const Expected<WireRequest> r = parse_request(c.line);
     ASSERT_FALSE(r.has_value()) << c.line;
     EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << c.line;
+  }
+}
+
+TEST(WireOptions, RetiredPackerAndCombinationSetKeysAreUnknown) {
+  // One exact packer and the minimal combination set are all there is
+  // (neither switch could change a dmm), so the two retired keys are
+  // refused like any other unknown key.
+  for (const char* key : {"use_dfs_packer", "minimal_only"}) {
+    const std::string line = util::cat(
+        R"({"type":"open_session","session":"s","system":"x","options":{")", key, R"(":true}})");
+    const Expected<WireRequest> r = parse_request(line);
+    ASSERT_FALSE(r.has_value()) << line;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << line;
+    EXPECT_NE(r.status().message().find(util::cat("unknown analysis option '", key, "'")),
+              std::string::npos)
+        << r.status().message();
   }
 }
 
