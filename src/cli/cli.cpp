@@ -480,6 +480,19 @@ int cmd_simulate(const Options& options, std::istream& in, std::ostream& out, st
   return kOk;
 }
 
+/// The nominal/best/priorities text block of `search` and `sweep`.
+void print_search_outcome(std::ostream& out, const search::Objective& nominal,
+                          const search::SearchResult& result) {
+  out << "nominal:  missing=" << nominal.chains_missing << " dmm=" << nominal.total_dmm
+      << " wcl=" << nominal.total_wcl << "\n";
+  out << "best:     missing=" << result.best_objective.chains_missing
+      << " dmm=" << result.best_objective.total_dmm << " wcl=" << result.best_objective.total_wcl
+      << "  (" << result.evaluations << " evaluations)\n";
+  out << "priorities (flat task order):";
+  for (const Priority p : result.best_priorities) out << ' ' << p;
+  out << '\n';
+}
+
 int cmd_search(const Options& options, std::istream& in, std::ostream& out, std::ostream& err) {
   if (options.positional.size() != 1) {
     err << "search expects exactly one file argument\n";
@@ -553,15 +566,7 @@ int cmd_search(const Options& options, std::istream& in, std::ostream& out, std:
   }
   const SearchAnswer& answer = std::get<SearchAnswer>(result.answer);
 
-  out << "nominal:  missing=" << answer.nominal.chains_missing
-      << " dmm=" << answer.nominal.total_dmm << " wcl=" << answer.nominal.total_wcl << "\n";
-  out << "best:     missing=" << answer.result.best_objective.chains_missing
-      << " dmm=" << answer.result.best_objective.total_dmm
-      << " wcl=" << answer.result.best_objective.total_wcl << "  (" << answer.result.evaluations
-      << " evaluations)\n";
-  out << "priorities (flat task order):";
-  for (Priority p : answer.result.best_priorities) out << ' ' << p;
-  out << '\n';
+  print_search_outcome(out, answer.nominal, answer.result);
   const StageDiagnostics store = total(answer.stats.stages);
   out << "store: " << store.hits << " hits / " << store.misses << " misses / " << store.shared
       << " shared\n";
@@ -696,29 +701,10 @@ int cmd_sweep(const Options& options, std::istream& in, std::ostream& out, std::
     io::JsonWriter w(out);
     w.begin_object();
     w.key("nominal");
-    w.begin_object();
-    w.key("chains_missing");
-    w.value(sweep_result.nominal.chains_missing);
-    w.key("total_dmm");
-    w.value(sweep_result.nominal.total_dmm);
-    w.key("total_wcl");
-    w.value(sweep_result.nominal.total_wcl);
-    w.end_object();
+    io::write_objective(w, sweep_result.nominal);
     w.key("best");
-    w.begin_object();
-    w.key("chains_missing");
-    w.value(sweep_result.result.best_objective.chains_missing);
-    w.key("total_dmm");
-    w.value(sweep_result.result.best_objective.total_dmm);
-    w.key("total_wcl");
-    w.value(sweep_result.result.best_objective.total_wcl);
-    w.key("priorities");
-    w.begin_array();
-    for (const Priority p : sweep_result.result.best_priorities) {
-      w.value(static_cast<long long>(p));
-    }
-    w.end_array();
-    w.end_object();
+    io::write_objective(w, sweep_result.result.best_objective,
+                        &sweep_result.result.best_priorities);
     w.key("evaluations");
     w.value(sweep_result.result.evaluations);
     w.key("sweep");
@@ -745,16 +731,7 @@ int cmd_sweep(const Options& options, std::istream& in, std::ostream& out, std::
     return kOk;
   }
 
-  out << "nominal:  missing=" << sweep_result.nominal.chains_missing
-      << " dmm=" << sweep_result.nominal.total_dmm << " wcl=" << sweep_result.nominal.total_wcl
-      << "\n";
-  out << "best:     missing=" << sweep_result.result.best_objective.chains_missing
-      << " dmm=" << sweep_result.result.best_objective.total_dmm
-      << " wcl=" << sweep_result.result.best_objective.total_wcl << "  ("
-      << sweep_result.result.evaluations << " evaluations)\n";
-  out << "priorities (flat task order):";
-  for (Priority p : sweep_result.result.best_priorities) out << ' ' << p;
-  out << '\n';
+  print_search_outcome(out, sweep_result.nominal, sweep_result.result);
   out << "sweep: " << telemetry.workers << " workers, " << telemetry.units << " units, "
       << telemetry.stolen_units << " stolen, " << telemetry.reissued_units << " reissued, "
       << telemetry.duplicate_results << " duplicates, " << telemetry.worker_deaths

@@ -19,15 +19,6 @@
 
 namespace wharf::cli {
 
-namespace {
-
-/// True for whitespace-only request lines (skipped, not answered).
-bool blank_line(const std::string& line) {
-  return line.empty() || line.find_first_not_of(" \t\r") == std::string::npos;
-}
-
-}  // namespace
-
 // ---------------------------------------------------------------------
 // Public surface
 // ---------------------------------------------------------------------
@@ -60,7 +51,7 @@ bool serve_stream(Engine& engine, std::istream& in, std::ostream& out,
       }
       response = io::oversized_line_error(io::kMaxWireLineBytes);
     } else {
-      if (blank_line(line)) continue;
+      if (io::blank_line(line)) continue;
       const Expected<io::WireRequest> request = io::parse_request(line);
       if (!request) {
         // A malformed line is a per-request error: answer it and keep

@@ -109,7 +109,8 @@ class ArtifactStore {
   /// equal by construction).  Artifacts heavier than the whole budget
   /// are rejected, everything else is admitted and the LRU tail is
   /// evicted until the budget holds.  `type_tag` names the concrete
-  /// type behind the erased value (ArtifactType in artifact_types.hpp);
+  /// type behind the erased value (PersistedArtifacts in
+  /// artifact_types.hpp);
   /// entries tagged 0 are skipped by persistence.
   void insert(ArtifactStage stage, const ArtifactKey& key,
               std::shared_ptr<const void> value, std::size_t weight,
@@ -178,7 +179,7 @@ class ArtifactStore {
   /// One resident artifact as handed to persistence (store_persist.cpp).
   struct ExportedArtifact {
     ArtifactStage stage{};              ///< pipeline stage of the entry
-    std::uint8_t type_tag = 0;          ///< ArtifactType behind the void
+    std::uint8_t type_tag = 0;          ///< PersistedArtifacts tag of the void
     ArtifactKey key;                    ///< the entry's key (stage aside)
     std::shared_ptr<const void> value;  ///< the artifact itself
     std::size_t weight = 0;             ///< artifact weight

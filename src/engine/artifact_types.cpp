@@ -1,40 +1,51 @@
 #include "engine/artifact_types.hpp"
 
+#include <memory>
+#include <string>
+
+#include "util/weight.hpp"
+
 namespace wharf {
 
-std::size_t weight_of(const InterferenceContext& ctx) {
-  std::size_t total = sizeof(ctx) + util::heap_bytes(ctx.self_header);
-  if (ctx.self_table) total += sizeof(ArrivalTable) + ctx.self_table->heap_bytes();
-  for (const ChainInterference& info : ctx.others) {
-    total += sizeof(info) + util::heap_bytes(info.header_segment);
-    for (const Segment& s : info.segments) total += sizeof(s) + util::heap_bytes(s.tasks);
-    if (info.critical.has_value()) total += util::heap_bytes(info.critical->tasks);
-    if (info.table) total += sizeof(ArrivalTable) + info.table->heap_bytes();
+namespace {
+
+/// Heap bytes `value` keeps resident beyond its own sizeof.
+template <typename T>
+std::size_t heap_walk(const T& value) {
+  if constexpr (std::is_trivially_copyable_v<T>) {
+    return 0;
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    return util::heap_bytes(value);
+  } else if constexpr (std::is_same_v<T, std::shared_ptr<const ArrivalTable>>) {
+    return value ? sizeof(ArrivalTable) + value->heap_bytes() : 0;
+  } else if constexpr (requires { value.has_value(); }) {
+    return value.has_value() ? heap_walk(*value) : 0;
+  } else if constexpr (requires { value.size(); }) {
+    if constexpr (std::is_trivially_copyable_v<typename T::value_type>) {
+      return util::heap_bytes(value);
+    } else {
+      std::size_t total = 0;
+      for (const auto& element : value) total += sizeof(element) + heap_walk(element);
+      return total;
+    }
+  } else {
+    std::size_t total = 0;
+    for_each_field(value, [&](const auto& member) { total += heap_walk(member); });
+    return total;
   }
-  return total;
 }
 
-std::size_t weight_of(const LatencyResult& r) {
-  return sizeof(r) + util::heap_bytes(r.busy_times) + util::heap_bytes(r.reason);
+}  // namespace
+
+template <typename T>
+std::size_t weight_of(const T& artifact) {
+  return sizeof(T) + heap_walk(artifact);
 }
 
-std::size_t weight_of(const TargetArtifacts& a) {
-  std::size_t total = sizeof(a);
-  for (const OverloadActiveSegments& pc : a.structure.per_chain) {
-    total += sizeof(pc);
-    for (const ActiveSegment& s : pc.active) total += sizeof(s) + util::heap_bytes(s.tasks);
-  }
-  for (const Combination& c : a.unschedulable) total += sizeof(c) + util::heap_bytes(c.segments);
-  if (a.no_guarantee_reason.has_value()) total += util::heap_bytes(*a.no_guarantee_reason);
-  return total;
-}
-
-std::size_t weight_of(const DmmResult& r) {
-  return sizeof(r) + util::heap_bytes(r.omegas) + util::heap_bytes(r.reason);
-}
-
-std::size_t weight_of(const ilp::PackingSolution& s) {
-  return sizeof(s) + util::heap_bytes(s.counts);
-}
+template std::size_t weight_of(const InterferenceContext&);
+template std::size_t weight_of(const LatencyResult&);
+template std::size_t weight_of(const TargetArtifacts&);
+template std::size_t weight_of(const DmmResult&);
+template std::size_t weight_of(const ilp::PackingSolution&);
 
 }  // namespace wharf

@@ -246,17 +246,6 @@ void write_status(io::JsonWriter& w, const Status& status) {
   }
 }
 
-void write_objective(io::JsonWriter& w, const search::Objective& o) {
-  w.begin_object();
-  w.key("chains_missing");
-  w.value(o.chains_missing);
-  w.key("total_dmm");
-  w.value(o.total_dmm);
-  w.key("total_wcl");
-  w.value(o.total_wcl);
-  w.end_object();
-}
-
 void write_string_array(io::JsonWriter& w, const std::vector<std::string>& values) {
   w.begin_array();
   for (const std::string& v : values) w.value(v);
@@ -358,9 +347,9 @@ void write_answer(io::JsonWriter& w, const QueryResult& result) {
           w.key("query");
           w.value("priority_search");
           w.key("nominal");
-          write_objective(w, a.nominal);
+          io::write_objective(w, a.nominal);
           w.key("best");
-          write_objective(w, a.result.best_objective);
+          io::write_objective(w, a.result.best_objective);
           w.key("evaluations");
           w.value(a.result.evaluations);
           w.key("priorities");

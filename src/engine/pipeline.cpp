@@ -17,25 +17,6 @@ namespace wharf {
 
 namespace {
 
-// ---------------------------------------------------------------------
-// Artifact type tags (artifact_types.hpp holds the weights and the tag
-// enum; this maps the stage value types onto their persistent tags so
-// acquire<T> can record them without per-call-site plumbing)
-// ---------------------------------------------------------------------
-
-template <typename T>
-constexpr ArtifactType artifact_tag = ArtifactType::kUntyped;
-template <>
-constexpr ArtifactType artifact_tag<InterferenceContext> = ArtifactType::kInterferenceContext;
-template <>
-constexpr ArtifactType artifact_tag<LatencyResult> = ArtifactType::kLatencyResult;
-template <>
-constexpr ArtifactType artifact_tag<TargetArtifacts> = ArtifactType::kTargetArtifacts;
-template <>
-constexpr ArtifactType artifact_tag<DmmResult> = ArtifactType::kDmmResult;
-template <>
-constexpr ArtifactType artifact_tag<ilp::PackingSolution> = ArtifactType::kPackingSolution;
-
 /// Key of a packing problem's content (the ILP stage key — two targets
 /// or k values yielding the same capacities and incidence share one
 /// solve).
@@ -171,7 +152,7 @@ std::shared_ptr<const T> Pipeline::State::acquire(ArtifactStage stage, const Art
           const std::size_t weight = weight_of(*value);
           return std::pair<std::shared_ptr<const void>, std::size_t>(std::move(value), weight);
         },
-        static_cast<std::uint8_t>(artifact_tag<T>));
+        PersistedArtifacts::tag_of<T>);
   } catch (...) {
     {
       const util::MutexLock guard(shared->diag_mutex);

@@ -38,6 +38,16 @@ std::string model_fingerprint(const System& system, const TwcaOptions& o) {
 // Query runners (shared by Session::execute and, through it, the Engine)
 // ---------------------------------------------------------------------
 
+/// Runs a query body under capture() and files its answer, or the
+/// Status of what it threw, into a QueryResult.  A template, not a
+/// std::function: every query of every request passes through here.
+template <typename Body>
+QueryResult answer_of(Body&& body) {
+  auto answer = capture(std::forward<Body>(body));
+  if (!answer) return {answer.status(), {}};
+  return {Status::ok(), std::move(answer).value()};
+}
+
 /// Resolves a chain name to its index or a not-found Status.
 Expected<int> resolve_chain(const System& system, const std::string& name) {
   const auto index = system.chain_index(name);
@@ -49,63 +59,32 @@ Expected<int> resolve_chain(const System& system, const std::string& name) {
 }
 
 QueryResult run_latency(Pipeline& pipeline, const LatencyQuery& query) {
-  QueryResult out;
   const Expected<int> chain = resolve_chain(pipeline.system(), query.chain);
-  if (!chain) {
-    out.status = chain.status();
-    return out;
-  }
-  const auto answer = capture([&] {
+  if (!chain) return {chain.status(), {}};
+  return answer_of([&] {
     LatencyAnswer a{query.chain, query.without_overload, {}};
     a.result = query.without_overload ? *pipeline.latency_without_overload(chain.value())
                                       : *pipeline.latency(chain.value());
     return a;
   });
-  if (answer) {
-    out.answer = answer.value();
-  } else {
-    out.status = answer.status();
-  }
-  return out;
 }
 
 QueryResult run_dmm(Pipeline& pipeline, const DmmQuery& query) {
-  QueryResult out;
   const Expected<int> chain = resolve_chain(pipeline.system(), query.chain);
-  if (!chain) {
-    out.status = chain.status();
-    return out;
-  }
+  if (!chain) return {chain.status(), {}};
   const std::vector<Count> ks = query.ks.empty() ? std::vector<Count>{10} : query.ks;
-  const auto answer =
-      capture([&] { return DmmAnswer{query.chain, pipeline.dmm_curve(chain.value(), ks)}; });
-  if (answer) {
-    out.answer = answer.value();
-  } else {
-    out.status = answer.status();
-  }
-  return out;
+  return answer_of([&] { return DmmAnswer{query.chain, pipeline.dmm_curve(chain.value(), ks)}; });
 }
 
 QueryResult run_weakly_hard(Pipeline& pipeline, const WeaklyHardQuery& query) {
-  QueryResult out;
   const Expected<int> chain = resolve_chain(pipeline.system(), query.chain);
-  if (!chain) {
-    out.status = chain.status();
-    return out;
-  }
-  const auto answer = capture([&] {
+  if (!chain) return {chain.status(), {}};
+  return answer_of([&] {
     WHARF_EXPECT(query.m >= 0, "weakly-hard m must be >= 0, got " << query.m);
     const DmmResult r = pipeline.dmm(chain.value(), query.k);
     return WeaklyHardAnswer{query.chain, query.m,    query.k,
                             r.dmm,       r.status,   r.dmm <= query.m};
   });
-  if (answer) {
-    out.answer = answer.value();
-  } else {
-    out.status = answer.status();
-  }
-  return out;
 }
 
 /// Resolves a path's chain names into a PathSpec, or a not-found Status.
@@ -120,30 +99,16 @@ Expected<PathSpec> resolve_path(const System& system, const std::vector<std::str
 }
 
 QueryResult run_path_latency(Pipeline& pipeline, const PathLatencyQuery& query) {
-  QueryResult out;
   const Expected<PathSpec> spec = resolve_path(pipeline.system(), query.chains);
-  if (!spec) {
-    out.status = spec.status();
-    return out;
-  }
-  const auto answer =
-      capture([&] { return PathLatencyAnswer{query.chains, pipeline.path_latency(spec.value())}; });
-  if (answer) {
-    out.answer = answer.value();
-  } else {
-    out.status = answer.status();
-  }
-  return out;
+  if (!spec) return {spec.status(), {}};
+  return answer_of(
+      [&] { return PathLatencyAnswer{query.chains, pipeline.path_latency(spec.value())}; });
 }
 
 QueryResult run_path_dmm(Pipeline& pipeline, const PathDmmQuery& query) {
-  QueryResult out;
   const Expected<PathSpec> resolved = resolve_path(pipeline.system(), query.chains);
-  if (!resolved) {
-    out.status = resolved.status();
-    return out;
-  }
-  const auto answer = capture([&] {
+  if (!resolved) return {resolved.status(), {}};
+  return answer_of([&] {
     WHARF_EXPECT(query.deadline >= 1,
                  "path DMM requires a deadline >= 1, got " << query.deadline);
     PathSpec spec = resolved.value();
@@ -155,17 +120,10 @@ QueryResult run_path_dmm(Pipeline& pipeline, const PathDmmQuery& query) {
     for (const Count k : ks) a.curve.push_back(pipeline.path_dmm(spec, k));
     return a;
   });
-  if (answer) {
-    out.answer = answer.value();
-  } else {
-    out.status = answer.status();
-  }
-  return out;
 }
 
 QueryResult run_simulation(Pipeline& pipeline, const SimulationQuery& query) {
-  QueryResult out;
-  const auto answer = capture([&] {
+  return answer_of([&] {
     WHARF_EXPECT(query.horizon >= 1, "simulation horizon must be >= 1, got " << query.horizon);
     WHARF_EXPECT(query.check_k >= 1, "simulation check_k must be >= 1, got " << query.check_k);
     const System& system = pipeline.system();
@@ -233,12 +191,6 @@ QueryResult run_simulation(Pipeline& pipeline, const SimulationQuery& query) {
     }
     return a;
   });
-  if (answer) {
-    out.answer = answer.value();
-  } else {
-    out.status = answer.status();
-  }
-  return out;
 }
 
 /// Scores candidates against the session's shared store: the search
@@ -247,8 +199,7 @@ QueryResult run_simulation(Pipeline& pipeline, const SimulationQuery& query) {
 QueryResult run_search(ArtifactStore& store, int jobs, std::size_t concurrent_tasks,
                        const System& system, const TwcaOptions& options,
                        const PrioritySearchQuery& query) {
-  QueryResult out;
-  const auto answer = capture([&] {
+  return answer_of([&] {
     const search::EvaluationSpec spec{query.k, {}};
     // The session already spreads the serving call's query tasks over
     // the worker pool; give the evaluator the pool width only when this
@@ -281,12 +232,6 @@ QueryResult run_search(ArtifactStore& store, int jobs, std::size_t concurrent_ta
     a.stats = evaluator.stats();
     return a;
   });
-  if (answer) {
-    out.answer = answer.value();
-  } else {
-    out.status = answer.status();
-  }
-  return out;
 }
 
 // ---------------------------------------------------------------------

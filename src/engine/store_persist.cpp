@@ -7,7 +7,6 @@
 #include <cerrno>
 #include <cstring>
 #include <fstream>
-#include <optional>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -61,13 +60,61 @@ void put_u64(std::string& out, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) out += static_cast<char>((v >> (8 * i)) & 0xffu);
 }
 
-void put_i64(std::string& out, std::int64_t v) { put_u64(out, static_cast<std::uint64_t>(v)); }
-
-void put_i32(std::string& out, std::int32_t v) { put_u32(out, static_cast<std::uint32_t>(v)); }
-
 void put_string(std::string& out, const std::string& s) {
   put_u32(out, static_cast<std::uint32_t>(s.size()));
   out += s;
+}
+
+// ---------------------------------------------------------------------
+// Value encoding, driven by the kFields lists of artifact_types.hpp
+// ---------------------------------------------------------------------
+
+/// Appends the encoding of `value`: integers little-endian at their own
+/// width (bool and enums as one byte), strings and vectors behind a u32
+/// count, optionals and arrival tables behind a u8 presence flag, and
+/// structs as their kFields in order.
+template <typename T>
+void put(std::string& out, const T& value) {
+  if constexpr (std::is_same_v<T, bool> || std::is_enum_v<T>) {
+    put_u8(out, static_cast<std::uint8_t>(value));
+  } else if constexpr (std::is_integral_v<T>) {
+    static_assert(sizeof(T) == 4 || sizeof(T) == 8, "integers encode as 4 or 8 bytes");
+    if constexpr (sizeof(T) == 4) {
+      put_u32(out, static_cast<std::uint32_t>(value));
+    } else {
+      put_u64(out, static_cast<std::uint64_t>(value));
+    }
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    put_string(out, value);
+  } else if constexpr (std::is_same_v<T, std::shared_ptr<const ArrivalTable>>) {
+    // A table travels as the wrapped model's canonical describe() text
+    // and is rebuilt via parse_arrival() — the same faithful-encoding
+    // caveat the cache keys already rely on.
+    put_u8(out, value != nullptr ? 1 : 0);
+    if (value != nullptr) put_string(out, value->model().describe());
+  } else if constexpr (requires { value.has_value(); }) {
+    put_u8(out, value.has_value() ? 1 : 0);
+    if (value.has_value()) put(out, *value);
+  } else if constexpr (requires { value.size(); }) {
+    put_u32(out, static_cast<std::uint32_t>(value.size()));
+    for (const auto& element : value) put(out, element);
+  } else {
+    for_each_field(value, [&](const auto& member) { put(out, member); });
+  }
+}
+
+/// Fewest bytes one encoded T occupies: the encoding of a default T
+/// (empty containers, disengaged optionals).  The decoder checks a
+/// vector's count times this against the remaining bytes before it
+/// reserves anything.
+template <typename T>
+std::size_t min_encoded_bytes() {
+  static const std::size_t bytes = [] {
+    std::string out;
+    put(out, T{});
+    return out.size();
+  }();
+  return bytes;
 }
 
 // Load-side integrity failure; thrown and caught entirely inside
@@ -113,9 +160,6 @@ class Reader {
     return v;
   }
 
-  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
-
   std::string bytes(std::size_t n, const char* what) {
     need(n, what);
     std::string out(data_ + pos_, n);
@@ -134,341 +178,57 @@ class Reader {
     }
   }
 
+  /// Decodes what put() encoded into `value`, which starts default.
+  template <typename T>
+  void get(T& value) {
+    if constexpr (std::is_same_v<T, bool>) {
+      value = u8() != 0;
+    } else if constexpr (std::is_enum_v<T>) {
+      static_assert(std::is_same_v<T, DmmStatus>, "an enum field needs its range check here");
+      const std::uint8_t raw = u8();
+      if (raw > static_cast<std::uint8_t>(DmmStatus::kNoGuarantee)) {
+        throw Corrupt{"dmm status out of range"};
+      }
+      value = static_cast<T>(raw);
+    } else if constexpr (std::is_integral_v<T>) {
+      if constexpr (sizeof(T) == 4) {
+        value = static_cast<T>(u32());
+      } else {
+        value = static_cast<T>(u64());
+      }
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      value = str();
+    } else if constexpr (std::is_same_v<T, std::shared_ptr<const ArrivalTable>>) {
+      if (u8() == 0) return;
+      const std::string spec = str();
+      try {
+        value = std::make_shared<const ArrivalTable>(parse_arrival(spec));
+      } catch (const std::exception& e) {
+        throw Corrupt{std::string("bad arrival spec '") + spec + "': " + e.what()};
+      }
+    } else if constexpr (requires { value.has_value(); }) {
+      if (u8() != 0) get(value.emplace());
+    } else if constexpr (requires { value.size(); }) {
+      const std::uint32_t n = u32();
+      need(std::size_t{n} * min_encoded_bytes<typename T::value_type>(), "vector");
+      value.reserve(n);
+      for (std::uint32_t i = 0; i < n; ++i) get(value.emplace_back());
+    } else {
+      for_each_field(value, [&](auto& member) { get(member); });
+    }
+  }
+
  private:
   const char* data_;
   std::size_t size_;
   std::size_t pos_ = 0;
 };
 
-// ---------------------------------------------------------------------
-// Per-type value serializers
-// ---------------------------------------------------------------------
-
-void put_int_vector(std::string& out, const std::vector<int>& v) {
-  put_u32(out, static_cast<std::uint32_t>(v.size()));
-  for (const int x : v) put_i32(out, x);
-}
-
-std::vector<int> get_int_vector(Reader& in) {
-  const std::uint32_t n = in.u32();
-  in.need(std::size_t{n} * 4, "int vector");
-  std::vector<int> v;
-  v.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) v.push_back(in.i32());
-  return v;
-}
-
-void put_i64_vector(std::string& out, const std::vector<std::int64_t>& v) {
-  put_u32(out, static_cast<std::uint32_t>(v.size()));
-  for (const std::int64_t x : v) put_i64(out, x);
-}
-
-std::vector<std::int64_t> get_i64_vector(Reader& in) {
-  const std::uint32_t n = in.u32();
-  in.need(std::size_t{n} * 8, "i64 vector");
-  std::vector<std::int64_t> v;
-  v.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) v.push_back(in.i64());
-  return v;
-}
-
-void put_segment(std::string& out, const Segment& s) {
-  put_int_vector(out, s.tasks);
-  put_u8(out, s.wraps ? 1 : 0);
-  put_i64(out, s.cost);
-}
-
-Segment get_segment(Reader& in) {
-  Segment s;
-  s.tasks = get_int_vector(in);
-  s.wraps = in.u8() != 0;
-  s.cost = in.i64();
-  return s;
-}
-
-// Arrival tables are serialized as the wrapped model's canonical
-// describe() text and rebuilt deterministically via parse_arrival() —
-// the same faithful-encoding caveat the cache keys already rely on.
-void put_table(std::string& out, const std::shared_ptr<const ArrivalTable>& table) {
-  put_u8(out, table != nullptr ? 1 : 0);
-  if (table != nullptr) put_string(out, table->model().describe());
-}
-
-std::shared_ptr<const ArrivalTable> get_table(Reader& in) {
-  if (in.u8() == 0) return nullptr;
-  const std::string spec = in.str();
-  try {
-    return std::make_shared<const ArrivalTable>(parse_arrival(spec));
-  } catch (const std::exception& e) {
-    throw Corrupt{std::string("bad arrival spec '") + spec + "': " + e.what()};
-  }
-}
-
-void put_interference(std::string& out, const InterferenceContext& ctx) {
-  put_i32(out, ctx.target);
-  put_int_vector(out, ctx.self_header);
-  put_i64(out, ctx.self_header_cost);
-  put_u32(out, static_cast<std::uint32_t>(ctx.others.size()));
-  for (const ChainInterference& info : ctx.others) {
-    put_i32(out, info.chain);
-    put_u8(out, info.deferred ? 1 : 0);
-    put_u32(out, static_cast<std::uint32_t>(info.segments.size()));
-    for (const Segment& s : info.segments) put_segment(out, s);
-    put_u8(out, info.critical.has_value() ? 1 : 0);
-    if (info.critical.has_value()) put_segment(out, *info.critical);
-    put_int_vector(out, info.header_segment);
-    put_i64(out, info.header_segment_cost);
-    put_i64(out, info.segments_total_cost);
-    put_table(out, info.table);
-  }
-  put_table(out, ctx.self_table);
-}
-
-InterferenceContext get_interference(Reader& in) {
-  InterferenceContext ctx;
-  ctx.target = in.i32();
-  ctx.self_header = get_int_vector(in);
-  ctx.self_header_cost = in.i64();
-  const std::uint32_t others = in.u32();
-  in.need(others, "interference others");  // >= 1 byte each
-  ctx.others.reserve(others);
-  for (std::uint32_t i = 0; i < others; ++i) {
-    ChainInterference info;
-    info.chain = in.i32();
-    info.deferred = in.u8() != 0;
-    const std::uint32_t segments = in.u32();
-    in.need(segments, "interference segments");
-    info.segments.reserve(segments);
-    for (std::uint32_t s = 0; s < segments; ++s) info.segments.push_back(get_segment(in));
-    if (in.u8() != 0) info.critical = get_segment(in);
-    info.header_segment = get_int_vector(in);
-    info.header_segment_cost = in.i64();
-    info.segments_total_cost = in.i64();
-    info.table = get_table(in);
-    ctx.others.push_back(std::move(info));
-  }
-  ctx.self_table = get_table(in);
-  return ctx;
-}
-
-void put_latency(std::string& out, const LatencyResult& r) {
-  put_u8(out, r.bounded ? 1 : 0);
-  put_string(out, r.reason);
-  put_i64(out, r.K);
-  put_i64_vector(out, r.busy_times);
-  put_i64(out, r.wcl);
-  put_i64(out, r.worst_q);
-  put_u8(out, r.misses_per_window.has_value() ? 1 : 0);
-  if (r.misses_per_window.has_value()) put_i64(out, *r.misses_per_window);
-  put_u8(out, r.schedulable ? 1 : 0);
-}
-
-LatencyResult get_latency(Reader& in) {
-  LatencyResult r;
-  r.bounded = in.u8() != 0;
-  r.reason = in.str();
-  r.K = in.i64();
-  r.busy_times = get_i64_vector(in);
-  r.wcl = in.i64();
-  r.worst_q = in.i64();
-  if (in.u8() != 0) r.misses_per_window = in.i64();
-  r.schedulable = in.u8() != 0;
-  return r;
-}
-
-void put_target_artifacts(std::string& out, const TargetArtifacts& a) {
-  put_i64(out, a.slack);
-  put_i32(out, a.structure.target);
-  put_u32(out, static_cast<std::uint32_t>(a.structure.per_chain.size()));
-  for (const OverloadActiveSegments& pc : a.structure.per_chain) {
-    put_i32(out, pc.chain);
-    put_u32(out, static_cast<std::uint32_t>(pc.active.size()));
-    for (const ActiveSegment& s : pc.active) {
-      put_i32(out, s.segment_index);
-      put_int_vector(out, s.tasks);
-      put_i64(out, s.cost);
-    }
-  }
-  put_u32(out, static_cast<std::uint32_t>(a.unschedulable.size()));
-  for (const Combination& c : a.unschedulable) {
-    put_u32(out, static_cast<std::uint32_t>(c.segments.size()));
-    for (const ActiveSegmentId& id : c.segments) {
-      put_i32(out, id.chain_pos);
-      put_i32(out, id.active_index);
-    }
-    put_i64(out, c.cost);
-  }
-  put_u8(out, a.no_guarantee_reason.has_value() ? 1 : 0);
-  if (a.no_guarantee_reason.has_value()) put_string(out, *a.no_guarantee_reason);
-  put_u8(out, a.always_meets ? 1 : 0);
-}
-
-TargetArtifacts get_target_artifacts(Reader& in) {
-  TargetArtifacts a;
-  a.slack = in.i64();
-  a.structure.target = in.i32();
-  const std::uint32_t chains = in.u32();
-  in.need(chains, "overload chains");
-  a.structure.per_chain.reserve(chains);
-  for (std::uint32_t i = 0; i < chains; ++i) {
-    OverloadActiveSegments pc;
-    pc.chain = in.i32();
-    const std::uint32_t active = in.u32();
-    in.need(active, "active segments");
-    pc.active.reserve(active);
-    for (std::uint32_t s = 0; s < active; ++s) {
-      ActiveSegment seg;
-      seg.segment_index = in.i32();
-      seg.tasks = get_int_vector(in);
-      seg.cost = in.i64();
-      pc.active.push_back(std::move(seg));
-    }
-    a.structure.per_chain.push_back(std::move(pc));
-  }
-  const std::uint32_t combinations = in.u32();
-  in.need(combinations, "combinations");
-  a.unschedulable.reserve(combinations);
-  for (std::uint32_t i = 0; i < combinations; ++i) {
-    Combination c;
-    const std::uint32_t ids = in.u32();
-    in.need(std::size_t{ids} * 8, "combination segments");
-    c.segments.reserve(ids);
-    for (std::uint32_t s = 0; s < ids; ++s) {
-      ActiveSegmentId id;
-      id.chain_pos = in.i32();
-      id.active_index = in.i32();
-      c.segments.push_back(id);
-    }
-    c.cost = in.i64();
-    a.unschedulable.push_back(std::move(c));
-  }
-  if (in.u8() != 0) a.no_guarantee_reason = in.str();
-  a.always_meets = in.u8() != 0;
-  return a;
-}
-
-void put_dmm(std::string& out, const DmmResult& r) {
-  put_i64(out, r.k);
-  put_i64(out, r.dmm);
-  put_u8(out, static_cast<std::uint8_t>(r.status));
-  put_string(out, r.reason);
-  put_i64(out, r.wcl);
-  put_i64(out, r.K);
-  put_i64(out, r.n_b);
-  put_i64(out, r.slack);
-  put_i64_vector(out, r.omegas);
-  put_u64(out, r.combination_count);
-  put_u64(out, r.unschedulable_count);
-  put_i64(out, r.packing_optimum);
-  put_i64(out, r.solver_nodes);
-}
-
-DmmResult get_dmm(Reader& in) {
-  DmmResult r;
-  r.k = in.i64();
-  r.dmm = in.i64();
-  const std::uint8_t status = in.u8();
-  if (status > static_cast<std::uint8_t>(DmmStatus::kNoGuarantee)) {
-    throw Corrupt{"dmm status out of range"};
-  }
-  r.status = static_cast<DmmStatus>(status);
-  r.reason = in.str();
-  r.wcl = in.i64();
-  r.K = in.i64();
-  r.n_b = in.i64();
-  r.slack = in.i64();
-  r.omegas = get_i64_vector(in);
-  r.combination_count = in.u64();
-  r.unschedulable_count = in.u64();
-  r.packing_optimum = in.i64();
-  r.solver_nodes = in.i64();
-  return r;
-}
-
-void put_packing(std::string& out, const ilp::PackingSolution& s) {
-  put_i64(out, s.total);
-  put_i64_vector(out, s.counts);
-  put_i64(out, s.nodes);
-}
-
-ilp::PackingSolution get_packing(Reader& in) {
-  ilp::PackingSolution s;
-  s.total = in.i64();
-  s.counts = get_i64_vector(in);
-  s.nodes = in.i64();
-  return s;
-}
-
-/// Serialized payload of one artifact, or nullopt for values persistence
-/// does not cover (the caller counts them as skipped).
-std::optional<std::string> serialize_value(ArtifactType type, const void* value) {
-  std::string out;
-  switch (type) {
-    case ArtifactType::kInterferenceContext:
-      put_interference(out, *static_cast<const InterferenceContext*>(value));
-      return out;
-    case ArtifactType::kLatencyResult:
-      put_latency(out, *static_cast<const LatencyResult*>(value));
-      return out;
-    case ArtifactType::kTargetArtifacts:
-      put_target_artifacts(out, *static_cast<const TargetArtifacts*>(value));
-      return out;
-    case ArtifactType::kDmmResult:
-      put_dmm(out, *static_cast<const DmmResult*>(value));
-      return out;
-    case ArtifactType::kPackingSolution:
-      put_packing(out, *static_cast<const ilp::PackingSolution*>(value));
-      return out;
-    case ArtifactType::kUntyped:
-      return std::nullopt;
-  }
-  return std::nullopt;
-}
-
-/// Deserialized artifact plus its re-measured weight (weight_of —
-/// weights are never trusted from disk).
-struct DecodedValue {
-  std::shared_ptr<const void> value;
-  std::size_t weight = 0;
-};
-
-DecodedValue decode_value(ArtifactType type, Reader& in) {
-  DecodedValue out;
-  switch (type) {
-    case ArtifactType::kInterferenceContext: {
-      auto v = std::make_shared<const InterferenceContext>(get_interference(in));
-      out.weight = weight_of(*v);
-      out.value = std::move(v);
-      return out;
-    }
-    case ArtifactType::kLatencyResult: {
-      auto v = std::make_shared<const LatencyResult>(get_latency(in));
-      out.weight = weight_of(*v);
-      out.value = std::move(v);
-      return out;
-    }
-    case ArtifactType::kTargetArtifacts: {
-      auto v = std::make_shared<const TargetArtifacts>(get_target_artifacts(in));
-      out.weight = weight_of(*v);
-      out.value = std::move(v);
-      return out;
-    }
-    case ArtifactType::kDmmResult: {
-      auto v = std::make_shared<const DmmResult>(get_dmm(in));
-      out.weight = weight_of(*v);
-      out.value = std::move(v);
-      return out;
-    }
-    case ArtifactType::kPackingSolution: {
-      auto v = std::make_shared<const ilp::PackingSolution>(get_packing(in));
-      out.weight = weight_of(*v);
-      out.value = std::move(v);
-      return out;
-    }
-    case ArtifactType::kUntyped:
-      break;
-  }
-  throw Corrupt{"unknown artifact type tag " + std::to_string(static_cast<int>(type))};
+/// Calls f(Entry{}) for the PersistedArtifacts entry carrying `tag`;
+/// false when none does (untyped, retired or unknown tags).
+template <typename... Entries, typename F>
+bool visit_tag(ArtifactList<Entries...> /*list*/, std::uint8_t tag, F&& f) {
+  return ((Entries::tag == tag && (f(Entries{}), true)) || ...);
 }
 
 // ---------------------------------------------------------------------
@@ -523,22 +283,23 @@ StoreSaveResult StoreSnapshot::save(const ArtifactStore& store, const std::strin
   StoreSaveResult result;
   std::string records;
   for (const ArtifactStore::ExportedArtifact& artifact : store.export_artifacts()) {
-    const auto type = static_cast<ArtifactType>(artifact.type_tag);
-    std::optional<std::string> payload =
-        type != ArtifactType::kUntyped ? serialize_value(type, artifact.value.get())
-                                       : std::nullopt;
-    if (!payload.has_value()) {
+    std::string payload;
+    const bool typed = visit_tag(PersistedArtifacts{}, artifact.type_tag, [&](auto entry) {
+      using T = typename decltype(entry)::type;
+      put(payload, *static_cast<const T*>(artifact.value.get()));
+    });
+    if (!typed) {
       ++result.records_skipped;
       continue;
     }
     std::string record;
-    record.reserve(payload->size() + 32);
+    record.reserve(payload.size() + 32);
     put_u8(record, static_cast<std::uint8_t>(static_cast<int>(artifact.stage)));
     put_u8(record, artifact.type_tag);
     put_u64(record, artifact.key.lo);
     put_u64(record, artifact.key.hi);
-    put_u64(record, payload->size());
-    record += *payload;
+    put_u64(record, payload.size());
+    record += payload;
     records += 'R';
     records += record;
     put_u32(records, crc32(record.data(), record.size()));
@@ -600,7 +361,8 @@ StoreLoadResult StoreSnapshot::load(ArtifactStore& store, const std::string& pat
     ArtifactStage stage{};
     std::uint8_t type_tag = 0;
     ArtifactKey key;
-    DecodedValue decoded;
+    std::shared_ptr<const void> value;
+    std::size_t weight = 0;  ///< re-measured, never trusted from disk
   };
   std::vector<StagedRecord> staged;
 
@@ -653,7 +415,14 @@ StoreLoadResult StoreSnapshot::load(ArtifactStore& store, const std::string& pat
       record.stage = static_cast<ArtifactStage>(static_cast<int>(stage));
       record.type_tag = type_tag;
       record.key = ArtifactKey{key_lo, key_hi};
-      record.decoded = decode_value(static_cast<ArtifactType>(type_tag), payload);
+      const bool typed = visit_tag(PersistedArtifacts{}, type_tag, [&](auto entry) {
+        using T = typename decltype(entry)::type;
+        auto value = std::make_shared<T>();
+        payload.get(*value);
+        record.weight = weight_of(*value);
+        record.value = std::move(value);
+      });
+      if (!typed) throw Corrupt{"unknown artifact type tag " + std::to_string(type_tag)};
       if (payload.remaining() != 0) throw Corrupt{"record payload has trailing bytes"};
       (void)in.bytes(payload_len, "record payload");  // advance
       const std::size_t record_end = in.pos();
@@ -676,8 +445,8 @@ StoreLoadResult StoreSnapshot::load(ArtifactStore& store, const std::string& pat
   // Everything verified — commit.  Records were saved least-recent-
   // first, so sequential insertion reproduces the saved recency order.
   for (StagedRecord& record : staged) {
-    store.insert(record.stage, record.key, std::move(record.decoded.value),
-                 record.decoded.weight, record.type_tag);
+    store.insert(record.stage, record.key, std::move(record.value), record.weight,
+                 record.type_tag);
   }
   result.records_loaded = staged.size();
   result.cold = staged.empty();

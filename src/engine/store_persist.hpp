@@ -2,8 +2,8 @@
 /// Persistent snapshots of the ArtifactStore — the warm-restart layer.
 ///
 /// A snapshot round-trips every resident, typed artifact (the five
-/// persistable ArtifactType values of artifact_types.hpp) through explicit
-/// serializers into one versioned binary file:
+/// PersistedArtifacts types of artifact_types.hpp, encoded field by
+/// field in their kFields order) into one versioned binary file:
 ///
 ///   magic "WHARFSTO" | u32 format version (3)
 ///   'R'* records: u8 stage | u8 type tag | 16-byte key
@@ -86,8 +86,8 @@ struct StoreLoadResult {
 class StoreSnapshot {
  public:
   /// Serializes every resident *typed* artifact of `store` to `path`
-  /// (write-temp, fsync, rename).  Entries with ArtifactType::kUntyped
-  /// are skipped and counted.  On failure the previous file at `path` is untouched and
+  /// (write-temp, fsync, rename).  Untyped entries (tag 0) are skipped
+  /// and counted.  On failure the previous file at `path` is untouched and
   /// the temporary is removed.
   [[nodiscard]] static StoreSaveResult save(const ArtifactStore& store, const std::string& path,
                                             const StoreSaveOptions& options = {});

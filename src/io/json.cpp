@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <sstream>
 
+#include "search/priority_search.hpp"
 #include "util/expect.hpp"
 
 namespace wharf::io {
@@ -176,6 +177,24 @@ std::string to_json(const DmmResult& result) {
   w.value(result.solver_nodes);
   w.end_object();
   return os.str();
+}
+
+void write_objective(JsonWriter& w, const search::Objective& objective,
+                     const std::vector<Priority>* priorities) {
+  w.begin_object();
+  w.key("chains_missing");
+  w.value(objective.chains_missing);
+  w.key("total_dmm");
+  w.value(objective.total_dmm);
+  w.key("total_wcl");
+  w.value(objective.total_wcl);
+  if (priorities != nullptr) {
+    w.key("priorities");
+    w.begin_array();
+    for (const Priority p : *priorities) w.value(static_cast<long long>(p));
+    w.end_array();
+  }
+  w.end_object();
 }
 
 }  // namespace wharf::io

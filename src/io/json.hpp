@@ -14,6 +14,10 @@
 #include "core/busy_window.hpp"
 #include "core/twca.hpp"
 
+namespace wharf::search {
+struct Objective;
+}  // namespace wharf::search
+
 namespace wharf::io {
 
 /// Streaming JSON writer with automatic comma placement and string
@@ -66,6 +70,13 @@ class JsonWriter {
 
 /// Serializes a DmmResult as a JSON object.
 [[nodiscard]] std::string to_json(const DmmResult& result);
+
+/// Writes a search objective as a JSON object {chains_missing,
+/// total_dmm, total_wcl}, followed inside it by a "priorities" array
+/// when `priorities` is given: the one shape of `search --json`,
+/// `sweep --json` and the serve protocol's evaluate responses.
+void write_objective(JsonWriter& w, const search::Objective& objective,
+                     const std::vector<Priority>* priorities = nullptr);
 
 }  // namespace wharf::io
 

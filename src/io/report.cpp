@@ -10,37 +10,16 @@ namespace wharf::io {
 
 namespace {
 
-/// Prints the system header and overload inventory shared by both
-/// report flavours.
-void render_system_header(std::ostream& out, const System& system) {
-  out << "System '" << system.name() << "': " << system.size() << " chains, "
-      << system.task_count() << " tasks, utilization upper bound " << system.utilization()
-      << "\n\n";
-}
-
-void render_overload_inventory(std::ostream& out, const System& system) {
-  if (system.overload_indices().empty()) return;
-  out << "\nOverload chains (C_over):\n";
-  for (int c : system.overload_indices()) {
-    const Chain& chain = system.chain(c);
-    out << "  " << chain.name() << ": " << chain.arrival().describe() << ", total WCET "
-        << chain.total_wcet() << '\n';
-  }
-}
-
 /// The data behind one table row.  Null pointers mean "the answer is
-/// missing" (a failed or absent query in the Engine flavour) and render
-/// as "error" cells; the analyzer flavour always supplies everything it
-/// is asked for.
+/// missing" (a failed or absent query) and render as "error" cells.
 struct ChainRowData {
   const LatencyResult* full = nullptr;
   const LatencyResult* typical = nullptr;
   const std::vector<DmmResult>* curve = nullptr;  ///< required only for weakly-hard chains
 };
 
-/// The shared layout: chain | D | WCL | WCL w/o overload | verdict |
-/// dmm(k)... — both report flavours must stay visually identical, so
-/// the row logic lives exactly once.
+/// The table layout: chain | D | WCL | WCL w/o overload | verdict |
+/// dmm(k)...
 std::string render_chain_table(const System& system, const std::vector<Count>& ks,
                                const std::map<int, ChainRowData>& rows) {
   std::vector<std::string> headers = {"chain", "D", "WCL", "WCL w/o overload", "verdict"};
@@ -95,32 +74,6 @@ std::string render_chain_table(const System& system, const std::vector<Count>& k
 
 }  // namespace
 
-std::string render_system_report(const TwcaAnalyzer& analyzer, std::vector<Count> ks) {
-  if (ks.empty()) ks.push_back(10);
-  const System& system = analyzer.system();
-
-  // Materialize the dmm curves only where the table shows them
-  // (weakly-hard chains); the map keeps the vectors' addresses stable.
-  std::map<int, std::vector<DmmResult>> curves;
-  std::map<int, ChainRowData> rows;
-  for (int c : system.regular_indices()) {
-    ChainRowData data;
-    data.full = &analyzer.latency(c);
-    data.typical = &analyzer.latency_without_overload(c);
-    if (system.chain(c).deadline().has_value() && data.full->bounded &&
-        !data.full->schedulable) {
-      data.curve = &(curves[c] = analyzer.dmm_curve(c, ks));
-    }
-    rows[c] = data;
-  }
-
-  std::ostringstream out;
-  render_system_header(out, system);
-  out << render_chain_table(system, ks, rows);
-  render_overload_inventory(out, system);
-  return out.str();
-}
-
 std::string render_report(const System& system, const AnalysisReport& report) {
   // Index the answers by (chain, flavour).
   std::map<std::string, const LatencyResult*> full_latency;
@@ -161,9 +114,16 @@ std::string render_report(const System& system, const AnalysisReport& report) {
   }
 
   std::ostringstream out;
-  render_system_header(out, system);
+  out << "System '" << system.name() << "': " << system.size() << " chains, "
+      << system.task_count() << " tasks, utilization upper bound " << system.utilization()
+      << "\n\n";
   out << render_chain_table(system, ks, rows);
-  render_overload_inventory(out, system);
+  if (!system.overload_indices().empty()) out << "\nOverload chains (C_over):\n";
+  for (const int c : system.overload_indices()) {
+    const Chain& chain = system.chain(c);
+    out << "  " << chain.name() << ": " << chain.arrival().describe() << ", total WCET "
+        << chain.total_wcet() << '\n';
+  }
 
   const std::string cache_line = render_diagnostics(report.diagnostics);
   if (!cache_line.empty()) out << '\n' << cache_line << '\n';

@@ -6,25 +6,17 @@
 #define WHARF_IO_REPORT_HPP
 
 #include <string>
-#include <vector>
 
-#include "core/twca.hpp"
 #include "engine/engine.hpp"
 
 namespace wharf::io {
 
-/// Renders a complete analysis report: per non-overload chain the
-/// latency results (with and without overload), the schedulability
-/// verdict, and dmm(k) for each requested horizon; followed by the
-/// overload chain inventory.  `ks` defaults to {10} when empty.
-[[nodiscard]] std::string render_system_report(const TwcaAnalyzer& analyzer,
-                                               std::vector<Count> ks = {});
-
-/// Same layout, but driven by an Engine response (the answers of an
-/// AnalysisRequest::standard() run): per-chain latency with/without
-/// overload, verdict and dmm columns, plus the overload inventory and a
-/// one-line artifact-cache summary (render_diagnostics).
-/// Queries that failed render as "error" cells.
+/// Renders the complete analysis report of an Engine response (the
+/// answers of an AnalysisRequest::standard() run): per non-overload
+/// chain the latency with and without overload, the schedulability
+/// verdict and dmm(k) for each answered horizon (default {10}); then the
+/// overload chain inventory and a one-line artifact-cache summary
+/// (render_diagnostics).  Queries that failed render as "error" cells.
 [[nodiscard]] std::string render_report(const System& system, const AnalysisReport& report);
 
 /// One-line per-stage artifact-cache summary of a served request, e.g.

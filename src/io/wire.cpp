@@ -76,6 +76,10 @@ std::string oversized_line_error(std::size_t max_line_bytes) {
       util::cat("request line exceeds the ", max_line_bytes, "-byte protocol bound")));
 }
 
+bool blank_line(const std::string& line) {
+  return line.find_first_not_of(" \t\r") == std::string::npos;
+}
+
 // ---------------------------------------------------------------------
 // JsonValue accessors
 // ---------------------------------------------------------------------

@@ -170,6 +170,10 @@ bool read_line_bounded(std::istream& in, std::string& line, std::size_t max_line
 /// between the stdio and async transports).
 [[nodiscard]] std::string oversized_line_error(std::size_t max_line_bytes);
 
+/// True for a whitespace-only request line, which both transports skip
+/// without an answer.
+[[nodiscard]] bool blank_line(const std::string& line);
+
 // ---------------------------------------------------------------------
 // Requests
 // ---------------------------------------------------------------------

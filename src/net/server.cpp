@@ -24,11 +24,6 @@ int default_parallelism() {
   return hw == 0 ? 4 : static_cast<int>(hw);
 }
 
-/// True for whitespace-only request lines (skipped, like the stdio loop).
-bool blank_line(const std::string& line) {
-  return line.find_first_not_of(" \t\r") == std::string::npos;
-}
-
 }  // namespace
 
 bool is_fd_exhaustion(int errno_value) {
@@ -236,7 +231,7 @@ void AsyncServer::on_readable(const std::shared_ptr<Conn>& conn) {
       conn->pending.push_back(std::move(item));
       continue;
     }
-    if (blank_line(line)) continue;
+    if (io::blank_line(line)) continue;
     enqueue_line(conn, line);
     // A shutdown line ends the conversation: anything buffered after it
     // is dropped, exactly as the stdio loop stops reading there.

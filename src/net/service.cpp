@@ -134,16 +134,7 @@ std::string handle_evaluate(Conversation& conversation, const io::WireRequest& r
     w.value(static_cast<long long>(request.unit));
     w.key("objectives");
     w.begin_array();
-    for (const search::Objective& o : objectives.value()) {
-      w.begin_object();
-      w.key("chains_missing");
-      w.value(o.chains_missing);
-      w.key("total_dmm");
-      w.value(o.total_dmm);
-      w.key("total_wcl");
-      w.value(o.total_wcl);
-      w.end_object();
-    }
+    for (const search::Objective& o : objectives.value()) io::write_objective(w, o);
     w.end_array();
   });
 }

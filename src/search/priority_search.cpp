@@ -44,10 +44,16 @@ std::vector<int> resolve_targets(const System& system, const EvaluationSpec& spe
   return targets;
 }
 
-/// The shared factorial guard of exhaustive_search/exhaustive_candidates:
-/// returns the base priorities sorted into enumeration start order,
-/// throwing when the permutation count exceeds `max_permutations`.
-std::vector<Priority> exhaustive_start(const System& base, long long max_permutations) {
+// The two candidate enumerations.  exhaustive_candidates/random_candidates
+// materialize them for shard planners and exhaustive_search/random_search
+// score them block by block, so the sweep's bit-identity contract rests on
+// this one definition of each order.
+
+/// Calls emit(candidate) for every permutation of the base priorities:
+/// sorted multiset first, then std::next_permutation order.  Throws
+/// when the permutation count exceeds `max_permutations`.
+template <typename Emit>
+void for_each_exhaustive(const System& base, long long max_permutations, Emit&& emit) {
   std::vector<Priority> priorities = base.flat_priorities();
   std::sort(priorities.begin(), priorities.end());
   long long permutations = 1;
@@ -58,7 +64,50 @@ std::vector<Priority> exhaustive_start(const System& base, long long max_permuta
                                            << " tasks exceeds max_permutations="
                                            << max_permutations);
   }
-  return priorities;
+  do {
+    emit(priorities);
+  } while (std::next_permutation(priorities.begin(), priorities.end()));
+}
+
+/// Calls emit(candidate) for `samples` uniformly random permutations,
+/// in rng draw order.
+template <typename Emit>
+void for_each_random(const System& base, int samples, std::uint64_t seed, Emit&& emit) {
+  WHARF_EXPECT(samples >= 1, "need at least one sample");
+  std::mt19937_64 rng(seed);
+  for (int i = 0; i < samples; ++i) emit(gen::shuffled_priorities(base.task_count(), rng));
+}
+
+/// Collects an enumeration into one list.
+template <typename Enumerate>
+std::vector<std::vector<Priority>> collect(Enumerate&& enumerate) {
+  std::vector<std::vector<Priority>> candidates;
+  enumerate([&](const std::vector<Priority>& c) { candidates.push_back(c); });
+  return candidates;
+}
+
+/// Scores an enumeration in blocks of evaluate_many(), folding each
+/// block in candidate order: peak memory stays O(block * n) for any
+/// budget, and the result equals folding the materialized list.
+template <typename Enumerate>
+SearchResult blocked_search(Evaluator& evaluator, Enumerate&& enumerate) {
+  constexpr std::size_t kBlock = 128;
+  SearchResult result;
+  bool have_best = false;
+  std::vector<std::vector<Priority>> block;
+  block.reserve(kBlock);
+  const auto flush = [&] {
+    const std::vector<Objective> scores = evaluator.evaluate_many(block);
+    result.evaluations += static_cast<long long>(block.size());
+    fold_scores(block, scores, result, have_best);
+    block.clear();
+  };
+  enumerate([&](const std::vector<Priority>& c) {
+    block.push_back(c);
+    if (block.size() == kBlock) flush();
+  });
+  if (!block.empty()) flush();
+  return result;
 }
 
 /// Per-position majority vote (Boyer–Moore) over a candidate batch: for
@@ -114,23 +163,12 @@ void fold_scores(const std::vector<std::vector<Priority>>& candidates,
 
 std::vector<std::vector<Priority>> exhaustive_candidates(const System& base,
                                                          long long max_permutations) {
-  std::vector<Priority> priorities = exhaustive_start(base, max_permutations);
-  std::vector<std::vector<Priority>> candidates;
-  do {
-    candidates.push_back(priorities);
-  } while (std::next_permutation(priorities.begin(), priorities.end()));
-  return candidates;
+  return collect([&](auto&& emit) { for_each_exhaustive(base, max_permutations, emit); });
 }
 
 std::vector<std::vector<Priority>> random_candidates(const System& base, int samples,
                                                      std::uint64_t seed) {
-  WHARF_EXPECT(samples >= 1, "need at least one sample");
-  std::mt19937_64 rng(seed);
-  const int n = base.task_count();
-  std::vector<std::vector<Priority>> candidates;
-  candidates.reserve(static_cast<std::size_t>(samples));
-  for (int i = 0; i < samples; ++i) candidates.push_back(gen::shuffled_priorities(n, rng));
-  return candidates;
+  return collect([&](auto&& emit) { for_each_random(base, samples, seed, emit); });
 }
 
 // ---------------------------------------------------------------------
@@ -293,50 +331,14 @@ Objective evaluate_assignment(const System& system, const EvaluationSpec& spec,
 }
 
 SearchResult exhaustive_search(Evaluator& evaluator, long long max_permutations) {
-  std::vector<Priority> priorities = exhaustive_start(evaluator.base(), max_permutations);
-
-  SearchResult result;
-  bool have_best = false;
-  constexpr std::size_t kBlock = 128;
-  std::vector<std::vector<Priority>> block;
-  block.reserve(kBlock);
-  const auto flush = [&] {
-    const std::vector<Objective> scores = evaluator.evaluate_many(block);
-    result.evaluations += static_cast<long long>(block.size());
-    fold_scores(block, scores, result, have_best);
-    block.clear();
-  };
-  do {
-    block.push_back(priorities);
-    if (block.size() == kBlock) flush();
-  } while (std::next_permutation(priorities.begin(), priorities.end()));
-  if (!block.empty()) flush();
-  return result;
+  return blocked_search(evaluator, [&](auto&& emit) {
+    for_each_exhaustive(evaluator.base(), max_permutations, emit);
+  });
 }
 
 SearchResult random_search(Evaluator& evaluator, int samples, std::uint64_t seed) {
-  WHARF_EXPECT(samples >= 1, "need at least one sample");
-  std::mt19937_64 rng(seed);
-  const int n = evaluator.base().task_count();
-
-  // Blocked like exhaustive_search: peak memory stays O(kBlock * n) for
-  // any budget, and both the rng draw order and the fold order match
-  // the one-candidate-at-a-time loop exactly.
-  SearchResult result;
-  bool have_best = false;
-  constexpr int kBlock = 128;
-  std::vector<std::vector<Priority>> block;
-  block.reserve(kBlock);
-  for (int i = 0; i < samples; ++i) {
-    block.push_back(gen::shuffled_priorities(n, rng));
-    if (static_cast<int>(block.size()) == kBlock || i + 1 == samples) {
-      const std::vector<Objective> scores = evaluator.evaluate_many(block);
-      result.evaluations += static_cast<long long>(block.size());
-      fold_scores(block, scores, result, have_best);
-      block.clear();
-    }
-  }
-  return result;
+  return blocked_search(
+      evaluator, [&](auto&& emit) { for_each_random(evaluator.base(), samples, seed, emit); });
 }
 
 SearchResult hill_climb(Evaluator& evaluator, const HillClimbOptions& options) {

@@ -5,9 +5,10 @@
 /// of bytes an artifact keeps resident — instead of a flat entry count.
 /// These helpers measure the common shapes: heap_bytes() returns the
 /// heap-owned excess of a value (0 for trivially copyable types), and
-/// byte_weight() adds the object itself.  Artifact types compose their
-/// weight as sizeof(artifact) plus the heap_bytes of each member, nested
-/// members walked by hand.  Weights are estimates (allocator overhead is
+/// byte_weight() adds the object itself.  Stage artifacts compose their
+/// weight as sizeof(artifact) plus the heap_bytes of each member, one
+/// walk over the field list of engine/artifact_types.hpp reaching the
+/// nested members.  Weights are estimates (allocator overhead is
 /// ignored); what matters is that they are deterministic and
 /// proportional to real memory use, so a byte budget bounds residency
 /// and eviction order is reproducible.

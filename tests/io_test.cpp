@@ -220,10 +220,15 @@ TEST(Histogram, RejectsSizeMismatch) {
 // System report
 // ---------------------------------------------------------------------------
 
+/// The report `wharf analyze` prints for `system` at horizons `ks`.
+std::string standard_report(const System& system, std::vector<Count> ks = {}) {
+  Engine engine;
+  return render_report(system, engine.run(AnalysisRequest::standard(system, std::move(ks))));
+}
+
 TEST(Report, CaseStudyReport) {
-  TwcaAnalyzer analyzer{
-      case_studies::date17_case_study(case_studies::OverloadModel::kRareOverload)};
-  const std::string report = render_system_report(analyzer, {3, 76});
+  const std::string report = standard_report(
+      case_studies::date17_case_study(case_studies::OverloadModel::kRareOverload), {3, 76});
   EXPECT_NE(report.find("sigma_c"), std::string::npos);
   EXPECT_NE(report.find("331"), std::string::npos);     // WCL sigma_c
   EXPECT_NE(report.find("166"), std::string::npos);     // WCL w/o overload
@@ -235,8 +240,7 @@ TEST(Report, CaseStudyReport) {
 }
 
 TEST(Report, DefaultHorizon) {
-  TwcaAnalyzer analyzer{case_studies::date17_case_study()};
-  const std::string report = render_system_report(analyzer);
+  const std::string report = standard_report(case_studies::date17_case_study());
   EXPECT_NE(report.find("dmm(10)"), std::string::npos);
 }
 
@@ -246,8 +250,7 @@ system r
 chain c activation=periodic(100)
   task t prio=1 wcet=5
 )");
-  TwcaAnalyzer analyzer{sys};
-  const std::string report = render_system_report(analyzer);
+  const std::string report = standard_report(sys);
   EXPECT_NE(report.find("no deadline"), std::string::npos);
 }
 

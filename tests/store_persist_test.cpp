@@ -21,6 +21,7 @@
 
 #include <unistd.h>
 
+#include "core/case_studies.hpp"
 #include "engine/engine.hpp"
 #include "engine/session.hpp"
 #include "engine/store_persist.hpp"
@@ -172,6 +173,58 @@ TEST(StorePersist, LoadedWeightsMatchRemeasurement) {
   EXPECT_EQ(a.stats().resident_entries, saved.records_written);
   EXPECT_GT(a.stats().resident_bytes, 0u);
   EXPECT_EQ(a.stats().resident_bytes, b.stats().resident_bytes);
+}
+
+// ---------------------------------------------------------------------
+// Pinned bytes
+// ---------------------------------------------------------------------
+
+/// A checked-in format-3 snapshot: the store one jobs=1 Engine builds
+/// for pinned_request().  Every other test round-trips a file against
+/// the build that wrote it; this one fails when a layout change moves a
+/// byte.  Regenerate it only together with a kStoreFormatVersion bump.
+std::string pinned_snapshot_path() {
+  const std::string here = __FILE__;
+  return here.substr(0, here.find_last_of('/')) + "/data/date17_store_v3.snapshot";
+}
+
+AnalysisRequest pinned_request() {
+  return AnalysisRequest::standard(
+      case_studies::date17_case_study(case_studies::OverloadModel::kRareOverload), {3, 76});
+}
+
+TEST(StorePersist, SnapshotBytesArePinned) {
+  ASSERT_EQ(kStoreFormatVersion, 3u);
+  const std::string pinned = read_file(pinned_snapshot_path());
+  ASSERT_GT(pinned.size(), 32u) << pinned_snapshot_path();
+
+  // Saving the same store writes exactly the pinned bytes...
+  TempDir cold_dir;
+  EngineOptions cold_options;
+  cold_options.store_dir = cold_dir.path;
+  Engine writer{cold_options};
+  const std::string cold = results_of(to_json(writer.run(pinned_request())));
+  ASSERT_TRUE(writer.persist().status.is_ok());
+  EXPECT_EQ(read_file(store_snapshot_path(cold_dir.path)), pinned);
+
+  // ...a store loaded from them saves them back unchanged...
+  ArtifactStore loaded;
+  EXPECT_GT(loaded.load(pinned_snapshot_path()).records_loaded, 0u);
+  TempDir resaved;
+  ASSERT_TRUE(loaded.save(store_snapshot_path(resaved.path)).status.is_ok());
+  EXPECT_EQ(read_file(store_snapshot_path(resaved.path)), pinned);
+
+  // ...and an engine warmed from them answers bit-identically without
+  // resolving a single artifact.
+  TempDir warm_dir;
+  write_file(store_snapshot_path(warm_dir.path), pinned);
+  EngineOptions warm_options;
+  warm_options.store_dir = warm_dir.path;
+  Engine reader{warm_options};
+  EXPECT_EQ(reader.persistence_stats().load_skipped_corrupt, 0u);
+  const ArtifactStore::Stats before = reader.store_stats();
+  EXPECT_EQ(results_of(to_json(reader.run(pinned_request()))), cold);
+  EXPECT_EQ(insertions(reader.store_stats()) - insertions(before), 0u);
 }
 
 TEST(StorePersist, MissingFileIsCleanCold) {
