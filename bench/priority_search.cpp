@@ -248,7 +248,8 @@ void BM_EvaluateAssignment(benchmark::State& state) {
   const System sys = date17_case_study(OverloadModel::kRareOverload);
   const search::EvaluationSpec spec{10, {}};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(search::evaluate_assignment(sys, spec));
+    search::PipelineEvaluator evaluator(sys, spec);
+    benchmark::DoNotOptimize(evaluator.evaluate(sys.flat_priorities()));
   }
 }
 BENCHMARK(BM_EvaluateAssignment);

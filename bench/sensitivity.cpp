@@ -27,17 +27,10 @@ System case_study_with_curve(Time d3, Time d4, Time tail) {
   std::vector<Chain> chains;
   for (int i = 0; i < base.size(); ++i) {
     const Chain& c = base.chain(i);
-    Chain::Spec s;
-    s.name = c.name();
-    s.kind = c.kind();
-    s.deadline = c.deadline();
-    s.overload = c.is_overload();
-    s.tasks = c.tasks();
+    Chain::Spec s = c.spec();
     if (c.is_overload()) {
       const Time d2 = c.arrival().delta_minus(2);
       s.arrival = delta_curve({d2, d3, d4}, tail);
-    } else {
-      s.arrival = c.arrival_ptr();
     }
     chains.emplace_back(std::move(s));
   }
@@ -81,14 +74,8 @@ void print_tables() {
     const System base = date17_case_study();
     std::vector<Chain> chains;
     for (int i = 0; i < base.size(); ++i) {
-      const Chain& c = base.chain(i);
-      Chain::Spec s;
-      s.name = c.name();
-      s.kind = c.kind();
-      s.deadline = c.deadline();
-      s.overload = c.is_overload();
-      s.tasks = c.tasks();
-      s.arrival = c.is_overload() ? sporadic(g) : c.arrival_ptr();
+      Chain::Spec s = base.chain(i).spec();
+      if (s.overload) s.arrival = sporadic(g);
       chains.emplace_back(std::move(s));
     }
     const System sys("sporadic_sweep", std::move(chains));

@@ -7,7 +7,7 @@
 
 #include <iostream>
 
-#include "core/path_analysis.hpp"
+#include "engine/engine.hpp"
 #include "io/tables.hpp"
 #include "sim/arrival_sequence.hpp"
 #include "sim/simulator.hpp"
@@ -44,14 +44,8 @@ wharf::System build_pipeline() {
   const ArrivalModelPtr derived = derived_output_model(draft.chain(0), lat1);
   std::vector<Chain> chains;
   for (int c = 0; c < draft.size(); ++c) {
-    const Chain& chain = draft.chain(c);
-    Chain::Spec spec;
-    spec.name = chain.name();
-    spec.kind = chain.kind();
-    spec.arrival = c == 1 ? derived : chain.arrival_ptr();
-    spec.deadline = chain.deadline();
-    spec.overload = chain.is_overload();
-    spec.tasks = chain.tasks();
+    Chain::Spec spec = draft.chain(c).spec();
+    if (c == 1) spec.arrival = derived;
     chains.emplace_back(std::move(spec));
   }
   return wharf::System("pipeline", std::move(chains));
@@ -66,30 +60,40 @@ int main() {
   std::cout << "Derived activation model of 'process' (completions of 'acquire'):\n  "
             << sys.chain(1).arrival().describe() << "\n\n";
 
-  PathAnalyzer analyzer{sys};
-  PathSpec path;
-  path.chains = {0, 1};
+  // Both path queries go to one Engine, so the path DMM reuses the
+  // per-chain artifacts the latency query resolved.
+  const std::vector<std::string> path = {"acquire", "process"};
+  const Time deadline = 200;
+  PathDmmQuery dmm_query;
+  dmm_query.chains = path;
+  dmm_query.deadline = deadline;
+  dmm_query.ks = {3, 5, 10, 50};
+  Engine engine;
+  const AnalysisReport report =
+      engine.run(AnalysisRequest{sys, {}, {PathLatencyQuery{path}, dmm_query}});
+  if (!report.ok()) {
+    std::cerr << report.worst_status().to_string() << '\n';
+    return 1;
+  }
 
-  const PathLatencyResult lat = analyzer.latency(path);
+  const PathLatencyResult& lat = std::get<PathLatencyAnswer>(report.results[0].answer).result;
   std::cout << "Path latency bound: " << lat.wcl << "  (per chain: ";
   for (std::size_t i = 0; i < lat.per_chain_wcl.size(); ++i) {
     std::cout << (i ? " + " : "") << lat.per_chain_wcl[i];
   }
   std::cout << ")\n\n";
 
-  path.deadline = 200;
   io::TextTable table({"k", "dmm_path(k)", "budgets", "per-chain dmm"});
-  for (Count k : {3, 5, 10, 50}) {
-    const PathDmmResult r = analyzer.dmm(path, k);
+  for (const PathDmmResult& r : std::get<PathDmmAnswer>(report.results[1].answer).curve) {
     std::string budgets;
     std::string per_chain;
     for (std::size_t i = 0; i < r.budgets.size(); ++i) {
       budgets += (i ? "+" : "") + util::cat(r.budgets[i]);
       per_chain += (i ? "+" : "") + util::cat(r.per_chain[i]);
     }
-    table.add_row({util::cat(k), util::cat(r.dmm), budgets, per_chain});
+    table.add_row({util::cat(r.k), util::cat(r.dmm), budgets, per_chain});
   }
-  std::cout << "Path DMM with end-to-end deadline 200 (< " << lat.wcl << "):\n"
+  std::cout << "Path DMM with end-to-end deadline " << deadline << " (< " << lat.wcl << "):\n"
             << table.render() << '\n';
 
   // Validate by linked simulation.
@@ -102,9 +106,9 @@ int main() {
 
   Time max_latency = 0;
   Count misses = 0;
-  for (Time l : sim::path_latencies(run, path.chains)) {
+  for (Time l : sim::path_latencies(run, {0, 1})) {
     max_latency = std::max(max_latency, l);
-    if (l > *path.deadline) ++misses;
+    if (l > deadline) ++misses;
   }
   std::cout << "Linked simulation over 120000 ticks: " << run.chains[0].completed
             << " path instances, max end-to-end latency " << max_latency << " (bound " << lat.wcl

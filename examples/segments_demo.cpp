@@ -73,14 +73,7 @@ int main() {
   a_over.arrival = sporadic(10'000);
   a_over.overload = true;
   a_over.tasks = a.tasks();
-  Chain::Spec b_spec;
-  b_spec.name = b.name();
-  b_spec.kind = b.kind();
-  b_spec.arrival = b.arrival_ptr();
-  b_spec.deadline = b.deadline();
-  b_spec.tasks = b.tasks();
-  const System overload_system("figure1_overload",
-                               {Chain(std::move(a_over)), Chain(std::move(b_spec))});
+  const System overload_system("figure1_overload", {Chain(std::move(a_over)), b});
 
   const OverloadStructure structure = overload_structure(overload_system, 1);
   std::cout << "\nDef. 9 — valid combinations of sigma_a's active segments:\n";

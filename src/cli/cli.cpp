@@ -11,10 +11,10 @@
 #include <sstream>
 
 #include "core/dmm_curve.hpp"
-#include "core/twca.hpp"
 #include "dist/client.hpp"
 #include "dist/coordinator.hpp"
 #include "engine/engine.hpp"
+#include "engine/session.hpp"
 #include "search/priority_search.hpp"
 #include "io/gantt.hpp"
 #include "io/json.hpp"
@@ -161,28 +161,31 @@ bool parse_options(const std::vector<std::string>& args, const std::string& comm
   return true;
 }
 
-bool parse_count(const std::string& text, Count& out, std::ostream& err,
-                 const std::string& what) {
+/// Parses a decimal integer in [lo, hi] into `out`; anything else
+/// (junk or out of range) prints "invalid <what>: '<text>'" and fails.
+/// Every numeric flag reads through it, so none is ever truncated on
+/// its way into a narrower field.
+template <typename Int>
+bool parse_int(const std::string& text, long long lo, Int& out, std::ostream& err,
+               const std::string& what, long long hi = std::numeric_limits<Int>::max()) {
   long long v = 0;
-  if (!util::parse_int64(text, v) || v < 1) {
+  if (!util::parse_int64(text, v) || v < lo || v > hi) {
     err << "invalid " << what << ": '" << text << "'\n";
     return false;
   }
-  out = v;
+  out = static_cast<Int>(v);
   return true;
+}
+
+bool parse_count(const std::string& text, Count& out, std::ostream& err,
+                 const std::string& what) {
+  return parse_int(text, 1, out, err, what);
 }
 
 /// Parses --jobs (>= 1, or 0 for all hardware threads).
 bool parse_jobs(const Options& options, int& jobs, std::ostream& err) {
   jobs = 1;
-  if (!options.has("--jobs")) return true;
-  long long v = 0;
-  if (!util::parse_int64(options.get("--jobs", ""), v) || v < 0) {
-    err << "invalid --jobs: '" << options.get("--jobs", "") << "'\n";
-    return false;
-  }
-  jobs = static_cast<int>(v);
-  return true;
+  return !options.has("--jobs") || parse_int(options.get("--jobs", ""), 0, jobs, err, "--jobs");
 }
 
 /// Parses --cache-bytes (>= 0; 0 = unlimited artifact-store budget).
@@ -190,10 +193,7 @@ bool parse_cache_bytes(const Options& options, std::size_t& bytes, std::ostream&
   bytes = EngineOptions{}.cache_bytes;
   if (!options.has("--cache-bytes")) return true;
   long long v = 0;
-  if (!util::parse_int64(options.get("--cache-bytes", ""), v) || v < 0) {
-    err << "invalid --cache-bytes: '" << options.get("--cache-bytes", "") << "'\n";
-    return false;
-  }
+  if (!parse_int(options.get("--cache-bytes", ""), 0, v, err, "--cache-bytes")) return false;
   bytes = static_cast<std::size_t>(v);
   return true;
 }
@@ -325,14 +325,16 @@ int cmd_dmm(const Options& options, std::istream& in, std::ostream& out, std::os
     if (!parse_count(options.get("--breakpoints", ""), k_max, err, "breakpoint horizon")) {
       return kUsageError;
     }
-    // The breakpoint scan queries adaptively (binary search between
-    // steps), so it drives the analyzer core directly.
+    // The breakpoint scan probes adaptively (binary search between
+    // steps) through a session on the same engine, so every probe
+    // shares the point query's artifacts.  The point query already
+    // resolved the chain name.
     const auto table_or = capture([&] {
-      TwcaAnalyzer analyzer{*system};
-      const auto chain = system->chain_index(chain_name);
-      WHARF_EXPECT(chain.has_value(), "unknown chain '" << chain_name << "'");
+      Session session = engine.open_session(*system);
+      const int chain = *system->chain_index(chain_name);
+      const auto dmm_at = [&](Count probe) { return session.dmm(chain, probe).dmm; };
       io::TextTable table({"first k", "dmm(k)"});
-      for (const DmmBreakpoint& bp : dmm_breakpoints(analyzer, *chain, k_max)) {
+      for (const DmmBreakpoint& bp : dmm_breakpoints(dmm_at, k_max)) {
         table.add_row({util::cat(bp.k), util::cat(bp.dmm)});
       }
       return table.render();
@@ -507,23 +509,19 @@ int cmd_search(const Options& options, std::istream& in, std::ostream& out, std:
     return kUsageError;
   }
   query.k = k;
-  Count budget = 200;
   if (options.has("--budget") &&
-      !parse_count(options.get("--budget", ""), budget, err, "budget")) {
+      !parse_int(options.get("--budget", ""), 1, query.budget, err, "budget")) {
     return kUsageError;
   }
-  query.budget = static_cast<int>(budget);
   Count seed = 1;
   if (options.has("--seed") && !parse_count(options.get("--seed", ""), seed, err, "seed")) {
     return kUsageError;
   }
   query.seed = static_cast<std::uint64_t>(seed);
-  Count restarts = 4;
   if (options.has("--restarts") &&
-      !parse_count(options.get("--restarts", ""), restarts, err, "restarts")) {
+      !parse_int(options.get("--restarts", ""), 1, query.restarts, err, "restarts")) {
     return kUsageError;
   }
-  query.restarts = static_cast<int>(restarts);
   Count max_permutations = 0;
   if (options.has("--max-permutations")) {
     if (!parse_count(options.get("--max-permutations", ""), max_permutations, err,
@@ -585,9 +583,9 @@ int cmd_sweep(const Options& options, std::istream& in, std::ostream& out, std::
   if (options.has("--k") && !parse_count(options.get("--k", ""), k, err, "k")) {
     return kUsageError;
   }
-  Count budget = 200;
+  int budget = 200;
   if (options.has("--budget") &&
-      !parse_count(options.get("--budget", ""), budget, err, "budget")) {
+      !parse_int(options.get("--budget", ""), 1, budget, err, "budget")) {
     return kUsageError;
   }
   Count seed = 1;
@@ -614,8 +612,7 @@ int cmd_sweep(const Options& options, std::istream& in, std::ostream& out, std::
   const auto candidates = capture([&] {
     return strategy == "exhaustive"
                ? search::exhaustive_candidates(*system, max_permutations)
-               : search::random_candidates(*system, static_cast<int>(budget),
-                                           static_cast<std::uint64_t>(seed));
+               : search::random_candidates(*system, budget, static_cast<std::uint64_t>(seed));
   });
   if (!candidates) {
     err << candidates.status().message() << "\n";
@@ -671,9 +668,9 @@ int cmd_sweep(const Options& options, std::istream& in, std::ostream& out, std::
     }
     sweep.unit_size = static_cast<std::size_t>(value);
   }
-  if (options.has("--window")) {
-    if (!parse_count(options.get("--window", ""), value, err, "window")) return kUsageError;
-    sweep.window = static_cast<int>(value);
+  if (options.has("--window") &&
+      !parse_int(options.get("--window", ""), 1, sweep.window, err, "window")) {
+    return kUsageError;
   }
   if (options.has("--unit-deadline-ms")) {
     if (!parse_count(options.get("--unit-deadline-ms", ""), value, err, "unit deadline")) {
@@ -681,11 +678,10 @@ int cmd_sweep(const Options& options, std::istream& in, std::ostream& out, std::
     }
     sweep.unit_deadline_ms = value;
   }
-  if (options.has("--max-restarts")) {
-    if (!parse_count(options.get("--max-restarts", ""), value, err, "restart budget")) {
-      return kUsageError;
-    }
-    sweep.max_restarts = static_cast<int>(value);
+  if (options.has("--max-restarts") &&
+      !parse_int(options.get("--max-restarts", ""), 1, sweep.max_restarts, err,
+                 "restart budget")) {
+    return kUsageError;
   }
 
   const Expected<dist::SweepOutcome> outcome =
@@ -750,31 +746,21 @@ int cmd_serve_dispatch(const Options& options, std::istream& in, std::ostream& o
   std::size_t cache_bytes = 0;
   if (!parse_cache_bytes(options, cache_bytes, err)) return kUsageError;
   int listen_port = -1;
-  if (options.has("--listen")) {
-    long long port = 0;
-    if (!util::parse_int64(options.get("--listen", ""), port) || port < 0 || port > 65535) {
-      err << "invalid --listen port: '" << options.get("--listen", "") << "'\n";
-      return kUsageError;
-    }
-    listen_port = static_cast<int>(port);
+  if (options.has("--listen") &&
+      !parse_int(options.get("--listen", ""), 0, listen_port, err, "--listen port", 65535)) {
+    return kUsageError;
   }
   int max_connections = 0;  // 0 = hardware_concurrency
-  if (options.has("--max-connections")) {
-    long long value = 0;
-    if (!util::parse_int64(options.get("--max-connections", ""), value) || value < 1 ||
-        value > std::numeric_limits<int>::max()) {
-      err << "invalid --max-connections: '" << options.get("--max-connections", "") << "'\n";
-      return kUsageError;
-    }
-    max_connections = static_cast<int>(value);
+  if (options.has("--max-connections") &&
+      !parse_int(options.get("--max-connections", ""), 1, max_connections, err,
+                 "--max-connections")) {
+    return kUsageError;
   }
   long long persist_interval_ms = -1;  // default: on (200ms) iff --store-dir
-  if (options.has("--persist-interval")) {
-    if (!util::parse_int64(options.get("--persist-interval", ""), persist_interval_ms) ||
-        persist_interval_ms < 0) {
-      err << "invalid --persist-interval: '" << options.get("--persist-interval", "") << "'\n";
-      return kUsageError;
-    }
+  if (options.has("--persist-interval") &&
+      !parse_int(options.get("--persist-interval", ""), 0, persist_interval_ms, err,
+                 "--persist-interval")) {
+    return kUsageError;
   }
   return cmd_serve(jobs, cache_bytes, options.get("--store-dir", ""), persist_interval_ms,
                    listen_port, max_connections, in, out, err);

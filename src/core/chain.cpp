@@ -46,4 +46,8 @@ Chain::Chain(Spec spec)
   min_priority_ = task(lowest_priority_index_).priority;
 }
 
+Chain::Spec Chain::spec() const {
+  return Spec{name_, kind_, arrival_, deadline_, overload_, tasks_};
+}
+
 }  // namespace wharf

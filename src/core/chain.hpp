@@ -46,6 +46,10 @@ class Chain {
   /// (the paper treats them as such WLOG).
   explicit Chain(Spec spec);
 
+  /// The Spec this chain was built from (Chain(c.spec()) rebuilds an
+  /// equal chain): edit the copy to derive a variant of the chain.
+  [[nodiscard]] Spec spec() const;
+
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] ChainKind kind() const { return kind_; }
   [[nodiscard]] bool is_synchronous() const { return kind_ == ChainKind::kSynchronous; }

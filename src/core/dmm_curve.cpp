@@ -4,50 +4,32 @@
 
 namespace wharf {
 
-std::vector<DmmBreakpoint> dmm_breakpoints(const TwcaAnalyzer& analyzer, int chain, Count k_max) {
+std::vector<DmmBreakpoint> dmm_breakpoints(const std::function<Count(Count)>& dmm_at,
+                                           Count k_max) {
   WHARF_EXPECT(k_max >= 1, "k_max must be >= 1, got " << k_max);
   std::vector<DmmBreakpoint> out;
   Count k = 1;
-  Count current = analyzer.dmm(chain, 1).dmm;
+  Count current = dmm_at(1);
   out.push_back(DmmBreakpoint{1, current});
 
-  const Count at_max = analyzer.dmm(chain, k_max).dmm;
+  const Count at_max = dmm_at(k_max);
   while (current < at_max) {
     // Find the smallest k' in (k, k_max] with dmm(k') > current.
     Count lo = k + 1;
     Count hi = k_max;
     while (lo < hi) {
       const Count mid = lo + (hi - lo) / 2;
-      if (analyzer.dmm(chain, mid).dmm > current) {
+      if (dmm_at(mid) > current) {
         hi = mid;
       } else {
         lo = mid + 1;
       }
     }
     k = lo;
-    current = analyzer.dmm(chain, k).dmm;
+    current = dmm_at(k);
     out.push_back(DmmBreakpoint{k, current});
   }
   return out;
-}
-
-Count max_window_for_misses(const TwcaAnalyzer& analyzer, int chain, Count m, Count k_max) {
-  WHARF_EXPECT(m >= 0, "m must be >= 0, got " << m);
-  WHARF_EXPECT(k_max >= 1, "k_max must be >= 1, got " << k_max);
-  if (analyzer.dmm(chain, 1).dmm > m) return 0;
-  if (analyzer.dmm(chain, k_max).dmm <= m) return k_max;
-  // Largest k with dmm(k) <= m: binary search on the monotone curve.
-  Count lo = 1;          // dmm(lo) <= m
-  Count hi = k_max;      // dmm(hi) > m
-  while (lo + 1 < hi) {
-    const Count mid = lo + (hi - lo) / 2;
-    if (analyzer.dmm(chain, mid).dmm <= m) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
 }
 
 }  // namespace wharf

@@ -1,19 +1,21 @@
 /// \file dmm_curve.hpp
-/// Utilities over the deadline-miss-model curve k -> dmm(k).
+/// The breakpoints of the deadline-miss-model curve k -> dmm(k).
 ///
 /// dmm(k) is a monotone non-decreasing step function of k (Omega of
 /// Lemma 4 grows with the window delta_plus(k), and the cap at k grows
 /// too), which makes its breakpoints well-defined and binary-searchable.
-/// These helpers answer the two questions weakly-hard designers actually
-/// ask: "where does my guarantee degrade?" (breakpoints) and "up to which
-/// horizon do I tolerate at most m misses?" (the (m,k) frontier).
+/// They answer the question weakly-hard designers actually ask: "where
+/// does my guarantee degrade?".  The search only sees the curve as a
+/// callable, so any dmm source drives it (`wharf dmm --breakpoints`
+/// probes Session::dmm, sharing the engine's artifact store).
 
 #ifndef WHARF_CORE_DMM_CURVE_HPP
 #define WHARF_CORE_DMM_CURVE_HPP
 
+#include <functional>
 #include <vector>
 
-#include "core/twca.hpp"
+#include "util/types.hpp"
 
 namespace wharf {
 
@@ -23,18 +25,12 @@ struct DmmBreakpoint {
   Count dmm = 0;  ///< dmm(k)
 };
 
-/// All breakpoints of k -> dmm(k) for k in [1, k_max]: the first entry is
-/// k=1; every further entry is the smallest k where the value increases.
-/// Uses binary search between steps (O(steps * log k_max) dmm queries).
-[[nodiscard]] std::vector<DmmBreakpoint> dmm_breakpoints(const TwcaAnalyzer& analyzer, int chain,
-                                                         Count k_max);
-
-/// The weakly-hard (m,k) frontier: the largest k in [1, k_max] such that
-/// dmm(k) <= m, or 0 when even dmm(1) > m.  A chain satisfying the
-/// returned horizon misses at most m deadlines in any window of that
-/// many activations.
-[[nodiscard]] Count max_window_for_misses(const TwcaAnalyzer& analyzer, int chain, Count m,
-                                          Count k_max);
+/// All breakpoints of the monotone curve `dmm_at` for k in [1, k_max]:
+/// the first entry is k=1; every further entry is the smallest k where
+/// the value increases.  Binary search between steps
+/// (O(steps * log k_max) probes of `dmm_at`).
+[[nodiscard]] std::vector<DmmBreakpoint> dmm_breakpoints(
+    const std::function<Count(Count)>& dmm_at, Count k_max);
 
 }  // namespace wharf
 

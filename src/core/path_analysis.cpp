@@ -60,27 +60,6 @@ std::vector<Time> resolve_budgets(const PathSpec& path, const std::vector<Time>&
   return budgets;
 }
 
-/// The default artifact source: standalone analyses on the given system
-/// (one TwcaAnalyzer per budgeted variant, as PathAnalyzer always did).
-class AnalyzerOracle final : public PathChainOracle {
- public:
-  AnalyzerOracle(const System& system, const TwcaOptions& options)
-      : system_(system), options_(options) {}
-
-  LatencyResult latency(int chain) override {
-    return latency_analysis(system_, chain, options_.analysis);
-  }
-
-  DmmResult dmm_with_budget(int chain, Time budget, Count k) override {
-    const TwcaAnalyzer analyzer{system_.with_deadline(chain, budget), options_};
-    return analyzer.dmm(chain, k);
-  }
-
- private:
-  const System& system_;
-  const TwcaOptions& options_;
-};
-
 }  // namespace
 
 void validate_path(const System& system, const PathSpec& path) {
@@ -157,19 +136,6 @@ PathDmmResult path_dmm(const System& system, const PathSpec& path, Count k,
   result.status = DmmStatus::kBounded;
   result.dmm = std::min<Count>(total, k);
   return result;
-}
-
-PathAnalyzer::PathAnalyzer(System system, TwcaOptions options)
-    : system_(std::move(system)), options_(options) {}
-
-PathLatencyResult PathAnalyzer::latency(const PathSpec& path) const {
-  AnalyzerOracle oracle{system_, options_};
-  return path_latency(system_, path, oracle);
-}
-
-PathDmmResult PathAnalyzer::dmm(const PathSpec& path, Count k) const {
-  AnalyzerOracle oracle{system_, options_};
-  return path_dmm(system_, path, k, oracle);
 }
 
 ArrivalModelPtr derived_output_model(const Chain& chain, const LatencyResult& latency) {

@@ -63,8 +63,7 @@ struct PathDmmResult {
 /// Artifact-boundary interface of path analysis: where the per-chain
 /// stage results come from.  path_latency()/path_dmm() compose purely
 /// over this oracle, so callers that cache per-chain artifacts (the
-/// Engine's ArtifactStore pipeline) plug in directly, while
-/// PathAnalyzer supplies a standalone-analyzer default.
+/// Engine's ArtifactStore pipeline) plug in directly.
 class PathChainOracle {
  public:
   virtual ~PathChainOracle() = default;
@@ -88,27 +87,6 @@ void validate_path(const System& system, const PathSpec& path);
 /// dmm_path(k) <= min(Σ dmm_i^{D_i}(k), k); requires path.deadline.
 [[nodiscard]] PathDmmResult path_dmm(const System& system, const PathSpec& path, Count k,
                                      PathChainOracle& oracle);
-
-/// Path analyses on top of a system (validates the path: >= 1 chain,
-/// distinct indices, no overload chains on the path).  A convenience
-/// façade over path_latency()/path_dmm() with a TwcaAnalyzer-backed
-/// oracle.
-class PathAnalyzer {
- public:
-  explicit PathAnalyzer(System system, TwcaOptions options = {});
-
-  [[nodiscard]] const System& system() const { return system_; }
-
-  /// WCL_path <= Σ WCL_i (unbounded when any chain is).
-  [[nodiscard]] PathLatencyResult latency(const PathSpec& path) const;
-
-  /// dmm_path(k) <= min(Σ dmm_i^{D_i}(k), k); requires path.deadline.
-  [[nodiscard]] PathDmmResult dmm(const PathSpec& path, Count k) const;
-
- private:
-  System system_;
-  TwcaOptions options_;
-};
 
 /// A sound activation model for the *outputs* (completions) of a chain
 /// whose input is periodic or periodic-with-jitter: same period, jitter

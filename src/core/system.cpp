@@ -62,13 +62,7 @@ System System::with_priorities(const std::vector<Priority>& priorities) const {
   new_chains.reserve(chains_.size());
   std::size_t next = 0;
   for (const Chain& c : chains_) {
-    Chain::Spec spec;
-    spec.name = c.name();
-    spec.kind = c.kind();
-    spec.arrival = c.arrival_ptr();
-    spec.deadline = c.deadline();
-    spec.overload = c.is_overload();
-    spec.tasks = c.tasks();
+    Chain::Spec spec = c.spec();
     for (Task& t : spec.tasks) t.priority = priorities[next++];
     new_chains.emplace_back(std::move(spec));
   }
@@ -81,31 +75,11 @@ System System::with_deadline(int chain, std::optional<Time> deadline) const {
   std::vector<Chain> new_chains;
   new_chains.reserve(chains_.size());
   for (int c = 0; c < size(); ++c) {
-    const Chain& current = chains_[static_cast<std::size_t>(c)];
-    Chain::Spec spec;
-    spec.name = current.name();
-    spec.kind = current.kind();
-    spec.arrival = current.arrival_ptr();
-    spec.deadline = c == chain ? deadline : current.deadline();
-    spec.overload = current.is_overload();
-    spec.tasks = current.tasks();
+    Chain::Spec spec = chains_[static_cast<std::size_t>(c)].spec();
+    if (c == chain) spec.deadline = deadline;
     new_chains.emplace_back(std::move(spec));
   }
   return System(name_, std::move(new_chains));
-}
-
-std::optional<TaskRef> System::find_task(const std::string& dotted) const {
-  const auto dot = dotted.find('.');
-  if (dot == std::string::npos) return std::nullopt;
-  const std::string chain_part = dotted.substr(0, dot);
-  const std::string task_part = dotted.substr(dot + 1);
-  const auto c = chain_index(chain_part);
-  if (!c.has_value()) return std::nullopt;
-  const Chain& ch = chain(*c);
-  for (int t = 0; t < ch.size(); ++t) {
-    if (ch.task(t).name == task_part) return TaskRef{*c, t};
-  }
-  return std::nullopt;
 }
 
 }  // namespace wharf

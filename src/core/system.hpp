@@ -12,14 +12,6 @@
 
 namespace wharf {
 
-/// Identifies a task by chain index and task position within the chain.
-struct TaskRef {
-  int chain = -1;
-  int task = -1;
-
-  friend bool operator==(const TaskRef&, const TaskRef&) = default;
-};
-
 /// The system model of Section II: disjoint task chains on one processor
 /// under Static Priority Preemptive scheduling.  Validation enforces the
 /// paper's standing assumptions: globally unique task priorities (the
@@ -30,7 +22,9 @@ class System {
   /// Validates and builds; see class comment for the invariants.
   System(std::string name, std::vector<Chain> chains);
 
+  /// The system's name (reports and keys carry it).
   [[nodiscard]] const std::string& name() const { return name_; }
+  /// All chains, in declaration order (indices are chain ids).
   [[nodiscard]] const std::vector<Chain>& chains() const { return chains_; }
   /// Number of chains m.
   [[nodiscard]] int size() const { return static_cast<int>(chains_.size()); }
@@ -61,9 +55,6 @@ class System {
   /// replaced (std::nullopt removes it).  Used by path analysis to give
   /// a chain its per-chain deadline budget.
   [[nodiscard]] System with_deadline(int chain, std::optional<Time> deadline) const;
-
-  /// Resolves a "chain.task" dotted name; returns std::nullopt if unknown.
-  [[nodiscard]] std::optional<TaskRef> find_task(const std::string& dotted) const;
 
  private:
   std::string name_;

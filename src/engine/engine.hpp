@@ -24,8 +24,10 @@
 ///    artifact the mutation does not touch.  Effectiveness is
 ///    observable per stage via ReportDiagnostics / store_stats().
 ///
-/// TwcaAnalyzer remains the internal engine core and stays available for
-/// code that wants lower-level control (ablation studies, custom loops).
+/// Every query is computed by the staged pipeline (engine/pipeline.hpp)
+/// over the core stage functions (make_interference_context,
+/// latency_analysis, build_target_artifacts, dmm_from_artifacts); no
+/// answer goes through the TwcaAnalyzer façade.
 
 #ifndef WHARF_ENGINE_ENGINE_HPP
 #define WHARF_ENGINE_ENGINE_HPP

@@ -238,17 +238,6 @@ QueryResult run_search(ArtifactStore& store, int jobs, std::size_t concurrent_ta
 // Delta application
 // ---------------------------------------------------------------------
 
-Chain::Spec spec_of(const Chain& chain) {
-  Chain::Spec spec;
-  spec.name = chain.name();
-  spec.kind = chain.kind();
-  spec.arrival = chain.arrival_ptr();
-  spec.deadline = chain.deadline();
-  spec.overload = chain.is_overload();
-  spec.tasks = chain.tasks();
-  return spec;
-}
-
 int find_spec(const std::vector<Chain::Spec>& specs, const std::string& chain_name) {
   for (std::size_t c = 0; c < specs.size(); ++c) {
     if (specs[c].name == chain_name) return static_cast<int>(c);
@@ -325,7 +314,7 @@ Status apply_one(std::vector<Chain::Spec>& specs, const Delta& delta) {
           specs[static_cast<std::size_t>(chain)].arrival = parsed.value();
           return Status::ok();
         } else if constexpr (std::is_same_v<D, AddChainDelta>) {
-          specs.push_back(spec_of(d.chain));
+          specs.push_back(d.chain.spec());
           return Status::ok();
         } else {
           static_assert(std::is_same_v<D, RemoveChainDelta>);
@@ -343,7 +332,7 @@ Status apply_one(std::vector<Chain::Spec>& specs, const Delta& delta) {
 Expected<System> mutate(const System& base, const std::vector<Delta>& deltas) {
   std::vector<Chain::Spec> specs;
   specs.reserve(base.chains().size());
-  for (const Chain& chain : base.chains()) specs.push_back(spec_of(chain));
+  for (const Chain& chain : base.chains()) specs.push_back(chain.spec());
   for (const Delta& delta : deltas) {
     const Status applied = apply_one(specs, delta);
     if (!applied.is_ok()) return applied;

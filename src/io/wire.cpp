@@ -94,6 +94,12 @@ long long JsonValue::as_int() const {
   return int_;
 }
 
+long long JsonValue::as_int_in(long long lo, long long hi, const char* name) const {
+  const long long v = as_int();
+  WHARF_EXPECT(v >= lo && v <= hi, name << " must be in [" << lo << ", " << hi << "], got " << v);
+  return v;
+}
+
 double JsonValue::as_double() const {
   WHARF_EXPECT(kind_ == Kind::kNumber, "expected a JSON number");
   return integral_ ? static_cast<double>(int_) : double_;
@@ -379,6 +385,10 @@ const char* to_string(WireKind kind) {
 
 namespace {
 
+/// The range of the int-typed fields (priorities, search budgets).
+constexpr long long kIntMin = std::numeric_limits<int>::min();
+constexpr long long kIntMax = std::numeric_limits<int>::max();
+
 std::vector<Count> parse_count_array(const JsonValue& value, const char* what) {
   std::vector<Count> out;
   for (const JsonValue& item : value.items()) {
@@ -399,7 +409,8 @@ Delta parse_delta(const JsonValue& value) {
   const std::string& kind = value.at("kind").as_string();
   if (kind == "set_priority") {
     return SetPriorityDelta{value.at("task").as_string(),
-                            static_cast<Priority>(value.at("priority").as_int())};
+                            static_cast<Priority>(
+                                value.at("priority").as_int_in(kIntMin, kIntMax, "priority"))};
   }
   if (kind == "set_wcet") {
     return SetWcetDelta{value.at("task").as_string(), value.at("wcet").as_int()};
@@ -475,10 +486,10 @@ Query parse_query(const JsonValue& value) {
     }
     if (const JsonValue* k = value.find("k")) q.k = k->as_int();
     if (const JsonValue* budget = value.find("budget")) {
-      q.budget = static_cast<int>(budget->as_int());
+      q.budget = static_cast<int>(budget->as_int_in(kIntMin, kIntMax, "budget"));
     }
     if (const JsonValue* restarts = value.find("restarts")) {
-      q.restarts = static_cast<int>(restarts->as_int());
+      q.restarts = static_cast<int>(restarts->as_int_in(kIntMin, kIntMax, "restarts"));
     }
     if (const JsonValue* seed = value.find("seed")) {
       q.seed = static_cast<std::uint64_t>(seed->as_int());
@@ -530,10 +541,8 @@ TwcaOptions parse_twca_options(const JsonValue& value) {
       WHARF_EXPECT(v >= 1, "max_busy_windows must be >= 1, got " << v);
       options.analysis.max_busy_windows = v;
     } else if (key == "max_fixed_point_iterations") {
-      const long long v = field.as_int();
-      WHARF_EXPECT(v >= 1 && v <= std::numeric_limits<int>::max(),
-                   "max_fixed_point_iterations must be in [1, 2^31), got " << v);
-      options.analysis.max_fixed_point_iterations = static_cast<int>(v);
+      options.analysis.max_fixed_point_iterations =
+          static_cast<int>(field.as_int_in(1, kIntMax, "max_fixed_point_iterations"));
     } else if (key == "divergence_guard") {
       const long long v = field.as_int();
       WHARF_EXPECT(v >= 1, "divergence_guard must be >= 1, got " << v);
@@ -629,7 +638,7 @@ Expected<WireRequest> parse_request(const std::string& line) {
         for (const JsonValue& candidate : root.at("candidates").items()) {
           std::vector<Priority> priorities;
           for (const JsonValue& p : candidate.items()) {
-            priorities.push_back(static_cast<Priority>(p.as_int()));
+            priorities.push_back(static_cast<Priority>(p.as_int_in(kIntMin, kIntMax, "priority")));
           }
           request.candidates.push_back(std::move(priorities));
         }

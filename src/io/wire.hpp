@@ -72,6 +72,10 @@ class JsonValue {
   [[nodiscard]] bool as_bool() const;
   /// The integer payload; throws unless the node is an integral number.
   [[nodiscard]] long long as_int() const;
+  /// The integer payload checked against [lo, hi]; throws, naming
+  /// `name`, when it lies outside.  Every field narrowed to a smaller
+  /// type reads through this, so no value is ever truncated.
+  [[nodiscard]] long long as_int_in(long long lo, long long hi, const char* name) const;
   /// The numeric payload widened to double; throws unless kind() is kNumber.
   [[nodiscard]] double as_double() const;
   /// The string payload; throws unless kind() is kString.

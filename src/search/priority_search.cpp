@@ -324,12 +324,6 @@ EvaluatorStats ReferenceEvaluator::stats() const {
 // Free functions
 // ---------------------------------------------------------------------
 
-Objective evaluate_assignment(const System& system, const EvaluationSpec& spec,
-                              const TwcaOptions& options) {
-  PipelineEvaluator evaluator(system, spec, options);
-  return evaluator.evaluate(system.flat_priorities());
-}
-
 SearchResult exhaustive_search(Evaluator& evaluator, long long max_permutations) {
   return blocked_search(evaluator, [&](auto&& emit) {
     for_each_exhaustive(evaluator.base(), max_permutations, emit);
@@ -392,24 +386,6 @@ SearchResult hill_climb(Evaluator& evaluator, const HillClimbOptions& options) {
     }
   }
   return result;
-}
-
-SearchResult exhaustive_search(const System& system, const EvaluationSpec& spec,
-                               long long max_permutations, const TwcaOptions& options) {
-  PipelineEvaluator evaluator(system, spec, options);
-  return exhaustive_search(evaluator, max_permutations);
-}
-
-SearchResult random_search(const System& system, const EvaluationSpec& spec, int samples,
-                           std::uint64_t seed, const TwcaOptions& options) {
-  PipelineEvaluator evaluator(system, spec, options);
-  return random_search(evaluator, samples, seed);
-}
-
-SearchResult hill_climb(const System& system, const EvaluationSpec& spec,
-                        const HillClimbOptions& options, const TwcaOptions& twca_options) {
-  PipelineEvaluator evaluator(system, spec, twca_options);
-  return hill_climb(evaluator, options);
 }
 
 }  // namespace wharf::search

@@ -203,12 +203,6 @@ class ReferenceEvaluator final : public Evaluator {
   long long evaluations_ = 0;
 };
 
-/// Scores one system (one priority assignment) through a transient
-/// pipeline-backed evaluator.  For loops, construct a PipelineEvaluator
-/// once and reuse it — that is what makes neighborhoods cheap.
-[[nodiscard]] Objective evaluate_assignment(const System& system, const EvaluationSpec& spec,
-                                            const TwcaOptions& options = {});
-
 /// Search outcome: the best priorities found (flat task order, apply via
 /// System::with_priorities), their objective and the evaluation count.
 struct SearchResult {
@@ -267,25 +261,6 @@ struct HillClimbOptions {
 /// batch.
 [[nodiscard]] SearchResult hill_climb(Evaluator& evaluator,
                                       const HillClimbOptions& options = {});
-
-// ---------------------------------------------------------------------
-// Conveniences binding a private pipeline-backed evaluator per call
-// ---------------------------------------------------------------------
-
-/// exhaustive_search(Evaluator&, ...) over a private PipelineEvaluator.
-[[nodiscard]] SearchResult exhaustive_search(const System& system, const EvaluationSpec& spec,
-                                             long long max_permutations = 50'000,
-                                             const TwcaOptions& options = {});
-
-/// random_search(Evaluator&, ...) over a private PipelineEvaluator.
-[[nodiscard]] SearchResult random_search(const System& system, const EvaluationSpec& spec,
-                                         int samples, std::uint64_t seed,
-                                         const TwcaOptions& options = {});
-
-/// hill_climb(Evaluator&, ...) over a private PipelineEvaluator.
-[[nodiscard]] SearchResult hill_climb(const System& system, const EvaluationSpec& spec,
-                                      const HillClimbOptions& options = {},
-                                      const TwcaOptions& twca_options = {});
 
 }  // namespace wharf::search
 

@@ -107,10 +107,22 @@ TEST(Cli, DmmPointQuery) {
 }
 
 TEST(Cli, DmmBreakpoints) {
+  // The whole output, byte for byte: the point query, then the paper's
+  // Table II breakpoints (dmm climbs to 4 at k=76 and to 5 at k=250).
   const CliRun r = invoke({"dmm", "-", "sigma_c", "--breakpoints", "300"}, case_study_text());
   EXPECT_EQ(r.exit_code, 0) << r.err;
-  EXPECT_NE(r.out.find("76"), std::string::npos);
-  EXPECT_NE(r.out.find("250"), std::string::npos);
+  EXPECT_EQ(r.out,
+            "dmm_sigma_c(10) = 3  [bounded]\n"
+            "+---------+--------+\n"
+            "| first k | dmm(k) |\n"
+            "+---------+--------+\n"
+            "| 1       | 1      |\n"
+            "| 2       | 2      |\n"
+            "| 3       | 3      |\n"
+            "| 76      | 4      |\n"
+            "| 250     | 5      |\n"
+            "+---------+--------+\n");
+  EXPECT_EQ(r.err, "");
 }
 
 TEST(Cli, DmmUnknownChain) {
@@ -203,6 +215,39 @@ TEST(Cli, SearchMaxPermutationsIsConfigurable) {
       {"search", "-", "--strategy", "exhaustive", "--max-permutations", "5"}, text);
   EXPECT_EQ(blocked.exit_code, 2);
   EXPECT_NE(blocked.err.find("max_permutations"), std::string::npos);
+}
+
+TEST(Cli, IntegerFlagsPastIntRangeAreRefusedNeverTruncated) {
+  // 2^32 + 3 and 2^32 + 1 would wrap to 3 and 1 in an int.  Each must be
+  // a usage error naming the flag, before any work starts.  The sweeps
+  // name a closed local peer, so even a regression spawns no worker.
+  const struct {
+    std::vector<std::string> args;
+    const char* message;
+  } cases[] = {
+      {{"search", "-", "--strategy", "random", "--budget", "4294967299", "--json"},
+       "invalid budget: '4294967299'"},
+      {{"search", "-", "--restarts", "4294967297"}, "invalid restarts: '4294967297'"},
+      {{"search", "-", "--jobs", "4294967297"}, "invalid --jobs: '4294967297'"},
+      {{"analyze", "-", "--jobs", "4294967297"}, "invalid --jobs: '4294967297'"},
+      {{"sweep", "-", "--strategy", "random", "--budget", "4294967299", "--connect",
+        "127.0.0.1:1"},
+       "invalid budget: '4294967299'"},
+      {{"sweep", "-", "--strategy", "random", "--budget", "4", "--window", "4294967297",
+        "--connect", "127.0.0.1:1"},
+       "invalid window: '4294967297'"},
+      {{"sweep", "-", "--strategy", "random", "--budget", "4", "--max-restarts", "4294967297",
+        "--connect", "127.0.0.1:1"},
+       "invalid restart budget: '4294967297'"},
+      {{"serve", "--max-connections", "4294967297"}, "invalid --max-connections: '4294967297'"},
+      {{"serve", "--jobs", "4294967297"}, "invalid --jobs: '4294967297'"},
+  };
+  for (const auto& c : cases) {
+    const CliRun r = invoke(c.args, case_study_text());
+    EXPECT_EQ(r.exit_code, 1) << c.args[0] << " " << c.message;
+    EXPECT_NE(r.err.find(c.message), std::string::npos) << r.err;
+    EXPECT_EQ(r.out, "") << c.message;
+  }
 }
 
 TEST(Cli, SearchJsonCarriesStoreTelemetry) {
@@ -496,6 +541,36 @@ TEST(Cli, ServePerRequestErrorsNeverExitNonZero) {
   EXPECT_NE(lines[5].find(R"("status":"ok")"), std::string::npos);
   EXPECT_NE(lines[5].find(R"("status":"not-found")"), std::string::npos);
   EXPECT_NE(lines[6].find(R"("status":"parse-error")"), std::string::npos);
+}
+
+TEST(Cli, ServeRefusesIntegersPastTheirRange) {
+  // A priority or search budget of 2^32 + 3 would wrap to 3: each is an
+  // invalid-argument envelope, the session stays at revision 0, and the
+  // next line is answered.
+  const std::string conversation =
+      "{\"id\":1,\"type\":\"open_session\",\"session\":\"s\",\"system\":\"" +
+      io::json_escape(case_study_text()) +
+      "\"}\n"
+      R"({"id":2,"type":"apply_delta","session":"s","deltas":[{"kind":"set_priority","task":"sigma_c.tau3_c","priority":4294967299}]})"
+      "\n"
+      R"({"id":3,"type":"query","session":"s","queries":[{"kind":"priority_search","strategy":"random","budget":4294967299}]})"
+      "\n"
+      R"({"id":4,"type":"diagnostics","session":"s"})"
+      "\n";
+  const CliRun r = invoke({"serve"}, conversation);
+  EXPECT_EQ(r.exit_code, 0) << r.err;
+
+  const std::vector<std::string> lines = lines_of(r.out);
+  ASSERT_EQ(lines.size(), 4u) << r.out;
+  EXPECT_NE(lines[1].find(R"("status":"invalid-argument")"), std::string::npos) << lines[1];
+  EXPECT_NE(lines[1].find("priority must be in [-2147483648, 2147483647], got 4294967299"),
+            std::string::npos)
+      << lines[1];
+  EXPECT_NE(lines[2].find(R"("status":"invalid-argument")"), std::string::npos) << lines[2];
+  EXPECT_NE(lines[2].find("budget must be in [-2147483648, 2147483647], got 4294967299"),
+            std::string::npos)
+      << lines[2];
+  EXPECT_NE(lines[3].find(R"("revision":0)"), std::string::npos) << lines[3];
 }
 
 TEST(Cli, ServeSessionsAreIncrementalAcrossDeltas) {

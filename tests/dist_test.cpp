@@ -281,7 +281,8 @@ TEST(DistShard, MergeMatchesTheSequentialFoldBitForBit) {
   const std::vector<search::Objective> objectives = evaluator.evaluate_many(candidates);
   const search::SearchResult merged = merge_objectives(candidates, objectives);
 
-  const search::SearchResult oracle = search::exhaustive_search(system, spec);
+  search::PipelineEvaluator oracle_evaluator(system, spec);
+  const search::SearchResult oracle = search::exhaustive_search(oracle_evaluator);
   EXPECT_EQ(merged.best_priorities, oracle.best_priorities);
   EXPECT_EQ(merged.best_objective, oracle.best_objective);
   EXPECT_EQ(merged.evaluations, oracle.evaluations);
@@ -301,8 +302,9 @@ TEST(DistFaults, TwoWorkersMatchTheSequentialSearch) {
   const std::vector<std::vector<Priority>> candidates = search::exhaustive_candidates(system);
   search::EvaluationSpec espec;
   espec.k = 5;
-  const search::SearchResult oracle = search::exhaustive_search(system, espec);
-  const search::Objective nominal = search::evaluate_assignment(system, espec);
+  search::PipelineEvaluator oracle_evaluator(system, espec);
+  const search::SearchResult oracle = search::exhaustive_search(oracle_evaluator);
+  const search::Objective nominal = oracle_evaluator.evaluate(system.flat_priorities());
 
   SweepOptions sweep;
   sweep.k = 5;
@@ -322,8 +324,9 @@ TEST(DistFaults, SigkilledWorkerMidUnitRespawnsAndStaysIdentical) {
   const std::vector<std::vector<Priority>> candidates = search::exhaustive_candidates(system);
   search::EvaluationSpec espec;
   espec.k = 5;
-  const search::SearchResult oracle = search::exhaustive_search(system, espec);
-  const search::Objective nominal = search::evaluate_assignment(system, espec);
+  search::PipelineEvaluator oracle_evaluator(system, espec);
+  const search::SearchResult oracle = search::exhaustive_search(oracle_evaluator);
+  const search::Objective nominal = oracle_evaluator.evaluate(system.flat_priorities());
 
   // One worker, killed after two completed units: the sweep *cannot*
   // finish unless the death is observed, the outstanding units requeue,
@@ -359,8 +362,9 @@ TEST(DistFaults, CoordinatorSideDisconnectReissuesAndStaysIdentical) {
   const std::vector<std::vector<Priority>> candidates = search::exhaustive_candidates(system);
   search::EvaluationSpec espec;
   espec.k = 5;
-  const search::SearchResult oracle = search::exhaustive_search(system, espec);
-  const search::Objective nominal = search::evaluate_assignment(system, espec);
+  search::PipelineEvaluator oracle_evaluator(system, espec);
+  const search::SearchResult oracle = search::exhaustive_search(oracle_evaluator);
+  const search::Objective nominal = oracle_evaluator.evaluate(system.flat_priorities());
 
   SweepOptions sweep;
   sweep.k = 5;
@@ -387,8 +391,9 @@ TEST(DistFaults, HungWorkerUnitsReissueOnDeadline) {
   const std::vector<std::vector<Priority>> candidates = search::exhaustive_candidates(system);
   search::EvaluationSpec espec;
   espec.k = 5;
-  const search::SearchResult oracle = search::exhaustive_search(system, espec);
-  const search::Objective nominal = search::evaluate_assignment(system, espec);
+  search::PipelineEvaluator oracle_evaluator(system, espec);
+  const search::SearchResult oracle = search::exhaustive_search(oracle_evaluator);
+  const search::Objective nominal = oracle_evaluator.evaluate(system.flat_priorities());
 
   // Worker 0 accepts units and never answers; worker 1 answers
   // correctly but only after a delay far beyond the unit deadline, so
@@ -422,8 +427,9 @@ TEST(DistFaults, ErrorEnvelopeDisqualifiesTheWorkerWithoutRestart) {
   const std::vector<std::vector<Priority>> candidates = search::exhaustive_candidates(system);
   search::EvaluationSpec espec;
   espec.k = 5;
-  const search::SearchResult oracle = search::exhaustive_search(system, espec);
-  const search::Objective nominal = search::evaluate_assignment(system, espec);
+  search::PipelineEvaluator oracle_evaluator(system, espec);
+  const search::SearchResult oracle = search::exhaustive_search(oracle_evaluator);
+  const search::Objective nominal = oracle_evaluator.evaluate(system.flat_priorities());
 
   // Worker 0 answers every unit with an error envelope; its first
   // answer must disqualify it (no restart — the process is alive but
@@ -473,8 +479,9 @@ TEST(DistFaults, OversizedWorkerResponseDisqualifies) {
   const std::vector<std::vector<Priority>> candidates = search::exhaustive_candidates(system);
   search::EvaluationSpec espec;
   espec.k = 5;
-  const search::SearchResult oracle = search::exhaustive_search(system, espec);
-  const search::Objective nominal = search::evaluate_assignment(system, espec);
+  search::PipelineEvaluator oracle_evaluator(system, espec);
+  const search::SearchResult oracle = search::exhaustive_search(oracle_evaluator);
+  const search::Objective nominal = oracle_evaluator.evaluate(system.flat_priorities());
 
   // A worker whose evaluate "answer" blows the protocol line bound is a
   // protocol fault like any other: disqualify, re-issue elsewhere.
@@ -635,8 +642,9 @@ TEST(DistDifferential, RandomSystemsWorkerCountsAndKillSchedules) {
 
     search::EvaluationSpec espec;
     espec.k = 4;
-    const search::SearchResult oracle = search::random_search(system, espec, kSamples, seed);
-    const search::Objective nominal = search::evaluate_assignment(system, espec);
+    search::PipelineEvaluator oracle_evaluator(system, espec);
+    const search::SearchResult oracle = search::random_search(oracle_evaluator, kSamples, seed);
+    const search::Objective nominal = oracle_evaluator.evaluate(system.flat_priorities());
 
     for (const int workers : {1, 2, 4}) {
       SweepOptions sweep;

@@ -1,10 +1,12 @@
-// Unit tests for the dmm-curve utilities (breakpoints, (m,k) frontier),
-// anchored on the paper's Table II breakpoint structure.
+// Unit tests for the dmm-curve breakpoint search, anchored on the
+// paper's Table II breakpoint structure.  The case-study curves are
+// probed through Session::dmm, the path `wharf dmm --breakpoints` takes.
 
 #include <gtest/gtest.h>
 
 #include "core/case_studies.hpp"
 #include "core/dmm_curve.hpp"
+#include "engine/session.hpp"
 #include "util/expect.hpp"
 
 namespace wharf {
@@ -15,13 +17,30 @@ using case_studies::kSigmaC;
 using case_studies::kSigmaD;
 using case_studies::OverloadModel;
 
+/// A session on the case study whose dmm(k) curves the tests scan.
+class CaseStudyCurve {
+ public:
+  explicit CaseStudyCurve(OverloadModel model)
+      : session_(engine_.open_session(date17_case_study(model))) {}
+
+  Count dmm(int chain, Count k) { return session_.dmm(chain, k).dmm; }
+
+  std::vector<DmmBreakpoint> breakpoints(int chain, Count k_max) {
+    return dmm_breakpoints([&](Count k) { return dmm(chain, k); }, k_max);
+  }
+
+ private:
+  Engine engine_;
+  Session session_;
+};
+
 class RareCurve : public ::testing::Test {
  protected:
-  TwcaAnalyzer analyzer{date17_case_study(OverloadModel::kRareOverload)};
+  CaseStudyCurve curve{OverloadModel::kRareOverload};
 };
 
 TEST_F(RareCurve, BreakpointsMatchTableII) {
-  const auto bps = dmm_breakpoints(analyzer, kSigmaC, 300);
+  const auto bps = curve.breakpoints(kSigmaC, 300);
   // dmm(1)=1, dmm(2)=2, dmm(3)=3, then the paper's breakpoints at 76, 250.
   ASSERT_EQ(bps.size(), 5u);
   EXPECT_EQ(bps[0].k, 1);
@@ -39,7 +58,7 @@ TEST_F(RareCurve, BreakpointsMatchTableII) {
 TEST_F(RareCurve, BreakpointsExtendWithTailPeriod) {
   // Next steps come from delta_minus(5)=85000 and delta_minus(6)=120000:
   // (k-1)*200 + 331 > 85000  =>  k = 425;  > 120000  =>  k = 600.
-  const auto bps = dmm_breakpoints(analyzer, kSigmaC, 700);
+  const auto bps = curve.breakpoints(kSigmaC, 700);
   ASSERT_GE(bps.size(), 7u);
   EXPECT_EQ(bps[5].k, 425);
   EXPECT_EQ(bps[5].dmm, 6);
@@ -48,51 +67,32 @@ TEST_F(RareCurve, BreakpointsExtendWithTailPeriod) {
 }
 
 TEST_F(RareCurve, BreakpointsConsistentWithPointQueries) {
-  const auto bps = dmm_breakpoints(analyzer, kSigmaC, 300);
+  const auto bps = curve.breakpoints(kSigmaC, 300);
   for (std::size_t i = 0; i < bps.size(); ++i) {
-    EXPECT_EQ(analyzer.dmm(kSigmaC, bps[i].k).dmm, bps[i].dmm);
+    EXPECT_EQ(curve.dmm(kSigmaC, bps[i].k), bps[i].dmm);
     if (bps[i].k > 1) {
-      EXPECT_LT(analyzer.dmm(kSigmaC, bps[i].k - 1).dmm, bps[i].dmm)
+      EXPECT_LT(curve.dmm(kSigmaC, bps[i].k - 1), bps[i].dmm)
           << "k=" << bps[i].k << " must be the first k at this level";
     }
   }
 }
 
 TEST_F(RareCurve, ScheduableChainHasFlatZeroCurve) {
-  const auto bps = dmm_breakpoints(analyzer, kSigmaD, 500);
+  const auto bps = curve.breakpoints(kSigmaD, 500);
   ASSERT_EQ(bps.size(), 1u);
   EXPECT_EQ(bps[0].k, 1);
   EXPECT_EQ(bps[0].dmm, 0);
 }
 
-TEST_F(RareCurve, FrontierMatchesBreakpoints) {
-  // Largest window tolerating m misses: one less than the breakpoint to
-  // m+1 (Table II: dmm jumps to 4 at k=76, to 5 at k=250).
-  EXPECT_EQ(max_window_for_misses(analyzer, kSigmaC, 3, 1000), 75);
-  EXPECT_EQ(max_window_for_misses(analyzer, kSigmaC, 4, 1000), 249);
-  EXPECT_EQ(max_window_for_misses(analyzer, kSigmaC, 5, 1000), 424);
-}
-
-TEST_F(RareCurve, FrontierEdgeCases) {
-  // m=0: sigma_c misses its very first activation in the worst case.
-  EXPECT_EQ(max_window_for_misses(analyzer, kSigmaC, 0, 1000), 0);
-  // Schedulable chain: the frontier is the full horizon.
-  EXPECT_EQ(max_window_for_misses(analyzer, kSigmaD, 0, 1000), 1000);
-  // Huge m: full horizon.
-  EXPECT_EQ(max_window_for_misses(analyzer, kSigmaC, 1'000'000, 500), 500);
-}
-
 TEST_F(RareCurve, ArgumentValidation) {
-  EXPECT_THROW((void)dmm_breakpoints(analyzer, kSigmaC, 0), InvalidArgument);
-  EXPECT_THROW((void)max_window_for_misses(analyzer, kSigmaC, -1, 10), InvalidArgument);
-  EXPECT_THROW((void)max_window_for_misses(analyzer, kSigmaC, 0, 0), InvalidArgument);
+  EXPECT_THROW((void)curve.breakpoints(kSigmaC, 0), InvalidArgument);
 }
 
 TEST(DmmCurveLiteral, BreakpointsDenser) {
   // With the literal sporadic model the curve climbs roughly every
   // 3-4 activations (Omega grows linearly with the window).
-  TwcaAnalyzer analyzer{date17_case_study(OverloadModel::kLiteralSporadic)};
-  const auto bps = dmm_breakpoints(analyzer, kSigmaC, 100);
+  CaseStudyCurve curve{OverloadModel::kLiteralSporadic};
+  const auto bps = curve.breakpoints(kSigmaC, 100);
   ASSERT_GE(bps.size(), 10u);
   // Monotone strictly increasing values, strictly increasing ks.
   for (std::size_t i = 1; i < bps.size(); ++i) {
@@ -101,16 +101,21 @@ TEST(DmmCurveLiteral, BreakpointsDenser) {
   }
 }
 
-TEST(DmmCurveLiteral, FrontierConsistency) {
-  TwcaAnalyzer analyzer{date17_case_study(OverloadModel::kLiteralSporadic)};
-  for (Count m : {1, 3, 7, 15}) {
-    const Count k = max_window_for_misses(analyzer, kSigmaC, m, 400);
-    ASSERT_GE(k, 1);
-    EXPECT_LE(analyzer.dmm(kSigmaC, k).dmm, m);
-    if (k < 400) {
-      EXPECT_GT(analyzer.dmm(kSigmaC, k + 1).dmm, m);
-    }
-  }
+TEST(DmmCurveSearch, FindsEveryStepOfAnArbitraryMonotoneCurve) {
+  // A step function with a multi-unit jump and a step at k_max itself.
+  const auto curve = [](Count k) -> Count { return k < 5 ? 0 : k < 9 ? 3 : k < 20 ? 4 : 10; };
+  const auto bps = dmm_breakpoints(curve, 20);
+  ASSERT_EQ(bps.size(), 4u);
+  EXPECT_EQ(bps[0].k, 1);
+  EXPECT_EQ(bps[0].dmm, 0);
+  EXPECT_EQ(bps[1].k, 5);
+  EXPECT_EQ(bps[1].dmm, 3);
+  EXPECT_EQ(bps[2].k, 9);
+  EXPECT_EQ(bps[2].dmm, 4);
+  EXPECT_EQ(bps[3].k, 20);
+  EXPECT_EQ(bps[3].dmm, 10);
+  // Past the horizon nothing is reported.
+  EXPECT_EQ(dmm_breakpoints(curve, 19).size(), 3u);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "engine/engine.hpp"
 #include "gen/random_systems.hpp"
 #include "io/system_format.hpp"
+#include "oracles/path_reference.hpp"
 
 namespace wharf {
 namespace {
@@ -22,6 +23,7 @@ using case_studies::date17_case_study;
 using case_studies::kSigmaC;
 using case_studies::kSigmaD;
 using case_studies::OverloadModel;
+using reference::PathAnalyzer;
 
 System case_study() { return date17_case_study(OverloadModel::kRareOverload); }
 

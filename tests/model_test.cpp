@@ -80,6 +80,29 @@ TEST(Chain, AllowsSynchronousOverloadWithoutDeadline) {
   EXPECT_FALSE(c.deadline().has_value());
 }
 
+TEST(Chain, SpecRoundTripsEveryField) {
+  Chain::Spec spec = basic_chain("sigma", {Task{"t1", 5, 10}, Task{"t2", 3, 20}});
+  spec.kind = ChainKind::kAsynchronous;
+  const Chain c(spec);
+  const Chain::Spec back = c.spec();
+  EXPECT_EQ(back.name, "sigma");
+  EXPECT_EQ(back.kind, ChainKind::kAsynchronous);
+  EXPECT_EQ(back.arrival, c.arrival_ptr());  // shared, not copied
+  EXPECT_EQ(back.deadline, std::optional<Time>(100));
+  EXPECT_FALSE(back.overload);
+  ASSERT_EQ(back.tasks.size(), 2u);
+  EXPECT_EQ(back.tasks[1].name, "t2");
+  EXPECT_EQ(back.tasks[1].priority, 3);
+  EXPECT_EQ(back.tasks[1].wcet, 20);
+
+  Chain::Spec overload = basic_chain("over", {Task{"t", 1, 1}});
+  overload.overload = true;
+  overload.deadline.reset();
+  const Chain::Spec over_back = Chain(overload).spec();
+  EXPECT_TRUE(over_back.overload);
+  EXPECT_FALSE(over_back.deadline.has_value());
+}
+
 TEST(ChainKind, ToString) {
   EXPECT_EQ(to_string(ChainKind::kSynchronous), "synchronous");
   EXPECT_EQ(to_string(ChainKind::kAsynchronous), "asynchronous");
@@ -146,17 +169,6 @@ TEST(System, ChainIndexLookup) {
   EXPECT_EQ(s.chain_index("nonexistent"), std::nullopt);
 }
 
-TEST(System, FindTask) {
-  const System s = case_studies::date17_case_study();
-  const auto ref = s.find_task("sigma_c.tau3_c");
-  ASSERT_TRUE(ref.has_value());
-  EXPECT_EQ(ref->chain, 1);
-  EXPECT_EQ(ref->task, 2);
-  EXPECT_FALSE(s.find_task("sigma_c.nope").has_value());
-  EXPECT_FALSE(s.find_task("nodot").has_value());
-  EXPECT_FALSE(s.find_task("bad.tau1_c").has_value());
-}
-
 TEST(System, FlatPrioritiesOrder) {
   const System s = case_studies::date17_case_study();
   const std::vector<Priority> p = s.flat_priorities();
@@ -202,30 +214,6 @@ TEST(System, WithPrioritiesRejectsDuplicates) {
   std::vector<Priority> p = s.flat_priorities();
   p[0] = p[1];
   EXPECT_THROW(s.with_priorities(p), InvalidArgument);
-}
-
-TEST(System, FindTaskDegenerateDottedNames) {
-  const System s = case_studies::date17_case_study();
-  EXPECT_FALSE(s.find_task("").has_value());
-  EXPECT_FALSE(s.find_task(".").has_value());
-  EXPECT_FALSE(s.find_task("sigma_c.").has_value());     // empty task part
-  EXPECT_FALSE(s.find_task(".tau1_c").has_value());      // empty chain part
-  EXPECT_FALSE(s.find_task("sigma_c.tau1_c.x").has_value());  // nested dot
-  // Task names resolve only within their own chain.
-  EXPECT_FALSE(s.find_task("sigma_d.tau1_c").has_value());
-}
-
-TEST(System, FindTaskResolvesFirstAndLastTask) {
-  const System s = case_studies::date17_case_study();
-  const Chain& sigma_c = s.chain(case_studies::kSigmaC);
-  const auto head = s.find_task("sigma_c." + sigma_c.header().name);
-  const auto tail = s.find_task("sigma_c." + sigma_c.tail().name);
-  ASSERT_TRUE(head.has_value());
-  ASSERT_TRUE(tail.has_value());
-  EXPECT_EQ(head->chain, case_studies::kSigmaC);
-  EXPECT_EQ(head->task, 0);
-  EXPECT_EQ(tail->task, sigma_c.size() - 1);
-  EXPECT_EQ(*head, (TaskRef{case_studies::kSigmaC, 0}));
 }
 
 TEST(System, WithPrioritiesRejectsEmptyVector) {

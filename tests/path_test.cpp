@@ -5,12 +5,15 @@
 #include <gtest/gtest.h>
 
 #include "core/path_analysis.hpp"
+#include "oracles/path_reference.hpp"
 #include "sim/arrival_sequence.hpp"
 #include "sim/simulator.hpp"
 #include "util/expect.hpp"
 
 namespace wharf {
 namespace {
+
+using reference::PathAnalyzer;
 
 /// Two-stage pipeline plus an overload chain.  Hand-computed values:
 ///   stage1: B(1) = 45 + 15 (crit. segment of stage2) + 35 (overload)
@@ -52,14 +55,8 @@ System linked_pipeline_system() {
 
   std::vector<Chain> chains;
   for (int c = 0; c < base.size(); ++c) {
-    const Chain& chain = base.chain(c);
-    Chain::Spec spec;
-    spec.name = chain.name();
-    spec.kind = chain.kind();
-    spec.arrival = c == 1 ? derived : chain.arrival_ptr();
-    spec.deadline = chain.deadline();
-    spec.overload = chain.is_overload();
-    spec.tasks = chain.tasks();
+    Chain::Spec spec = base.chain(c).spec();
+    if (c == 1) spec.arrival = derived;
     chains.emplace_back(std::move(spec));
   }
   return System(base.name(), std::move(chains));
@@ -253,14 +250,8 @@ TEST(PathAnalysis, SingleChainPathDegeneratesToChainAnalysis) {
     const System base = linked_pipeline_system();
     std::vector<Chain> chains;
     for (int c = 0; c < base.size(); ++c) {
-      const Chain& chain = base.chain(c);
-      Chain::Spec spec;
-      spec.name = chain.name();
-      spec.kind = chain.kind();
-      spec.arrival = chain.arrival_ptr();
-      spec.deadline = c == 0 ? std::optional<Time>(90) : chain.deadline();
-      spec.overload = chain.is_overload();
-      spec.tasks = chain.tasks();
+      Chain::Spec spec = base.chain(c).spec();
+      if (c == 0) spec.deadline = 90;
       chains.emplace_back(std::move(spec));
     }
     return System(base.name(), std::move(chains));

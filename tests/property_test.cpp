@@ -412,8 +412,7 @@ System audit_system(int seed) {
   std::vector<Chain> chains;
   int family = seed;
   for (const Chain& chain : base.chains()) {
-    Chain::Spec chain_spec{chain.name(), chain.kind(),        chain.arrival_ptr(),
-                           chain.deadline(), chain.is_overload(), chain.tasks()};
+    Chain::Spec chain_spec = chain.spec();
     if (!chain.is_overload()) {
       chain_spec.arrival = arrival_of_family(family++ % kArrivalFamilies,
                                              chain.arrival().delta_minus(2));

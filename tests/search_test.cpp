@@ -42,7 +42,8 @@ TEST(Objective, LexicographicOrder) {
 
 TEST(Evaluate, CaseStudyNominal) {
   const System sys = date17_case_study(OverloadModel::kRareOverload);
-  const Objective obj = evaluate_assignment(sys, EvaluationSpec{10, {}});
+  PipelineEvaluator evaluator(sys, EvaluationSpec{10, {}});
+  const Objective obj = evaluator.evaluate(sys.flat_priorities());
   // sigma_c misses (dmm 3), sigma_d does not; WCL sum 331 + 175.
   EXPECT_EQ(obj.chains_missing, 1);
   EXPECT_EQ(obj.total_dmm, 3);
@@ -51,14 +52,16 @@ TEST(Evaluate, CaseStudyNominal) {
 
 TEST(Evaluate, ExplicitTargets) {
   const System sys = date17_case_study(OverloadModel::kRareOverload);
-  const Objective only_d = evaluate_assignment(sys, EvaluationSpec{10, {case_studies::kSigmaD}});
+  PipelineEvaluator evaluator(sys, EvaluationSpec{10, {case_studies::kSigmaD}});
+  const Objective only_d = evaluator.evaluate(sys.flat_priorities());
   EXPECT_EQ(only_d.chains_missing, 0);
   EXPECT_EQ(only_d.total_wcl, 175);
 }
 
 TEST(Evaluate, Validation) {
   const System sys = date17_case_study();
-  EXPECT_THROW((void)evaluate_assignment(sys, EvaluationSpec{0, {}}), InvalidArgument);
+  EXPECT_THROW((void)PipelineEvaluator(sys, EvaluationSpec{0, {}}).evaluate(sys.flat_priorities()),
+               InvalidArgument);
 }
 
 TEST(Evaluate, EmptyTargetsDefaultEqualsExplicitEligibleList) {
@@ -70,8 +73,10 @@ TEST(Evaluate, EmptyTargetsDefaultEqualsExplicitEligibleList) {
     if (sys.chain(c).deadline().has_value()) eligible.push_back(c);
   }
   ASSERT_FALSE(eligible.empty());
-  EXPECT_EQ(evaluate_assignment(sys, EvaluationSpec{10, {}}),
-            evaluate_assignment(sys, EvaluationSpec{10, eligible}));
+  PipelineEvaluator by_default(sys, EvaluationSpec{10, {}});
+  PipelineEvaluator explicit_list(sys, EvaluationSpec{10, eligible});
+  EXPECT_EQ(by_default.evaluate(sys.flat_priorities()),
+            explicit_list.evaluate(sys.flat_priorities()));
 }
 
 /// A system where the default target set is empty: one regular chain
@@ -92,42 +97,63 @@ System no_eligible_chain_system() {
 TEST(Evaluate, ZeroEligibleChainsIsInvalidArgumentEverywhere) {
   const System sys = no_eligible_chain_system();
   const EvaluationSpec spec{10, {}};
-  EXPECT_THROW((void)evaluate_assignment(sys, spec), InvalidArgument);
-  EXPECT_THROW((void)random_search(sys, spec, 5, 1), InvalidArgument);
-  EXPECT_THROW((void)hill_climb(sys, spec), InvalidArgument);
-  EXPECT_THROW((void)exhaustive_search(sys, spec), InvalidArgument);
+  EXPECT_THROW((void)PipelineEvaluator(sys, spec).evaluate(sys.flat_priorities()),
+               InvalidArgument);
+  EXPECT_THROW(
+      {
+        PipelineEvaluator evaluator(sys, spec);
+        (void)random_search(evaluator, 5, 1);
+      },
+      InvalidArgument);
+  EXPECT_THROW(
+      {
+        PipelineEvaluator evaluator(sys, spec);
+        (void)hill_climb(evaluator);
+      },
+      InvalidArgument);
+  EXPECT_THROW(
+      {
+        PipelineEvaluator evaluator(sys, spec);
+        (void)exhaustive_search(evaluator);
+      },
+      InvalidArgument);
 }
 
 TEST(ExhaustiveSearch, FindsOptimumOnSmallSystem) {
   const System sys = small_system();
-  const SearchResult result = exhaustive_search(sys, EvaluationSpec{5, {}});
+  PipelineEvaluator evaluator(sys, EvaluationSpec{5, {}});
+  const SearchResult result = exhaustive_search(evaluator);
   EXPECT_EQ(result.evaluations, 120);  // 5! permutations
   // The optimum must be at least as good as the nominal assignment and
   // as good as any sampled assignment.
-  const Objective nominal = evaluate_assignment(sys, EvaluationSpec{5, {}});
+  const Objective nominal = evaluator.evaluate(sys.flat_priorities());
   EXPECT_LE(result.best_objective, nominal);
-  const SearchResult sampled = random_search(sys, EvaluationSpec{5, {}}, 50, 3);
+  const SearchResult sampled = random_search(evaluator, 50, 3);
   EXPECT_LE(result.best_objective, sampled.best_objective);
 }
 
 TEST(ExhaustiveSearch, GuardsAgainstFactorialBlowup) {
   const System sys = date17_case_study();  // 13 tasks -> 13! permutations
-  EXPECT_THROW(exhaustive_search(sys, EvaluationSpec{5, {}}, 10'000), InvalidArgument);
+  PipelineEvaluator evaluator(sys, EvaluationSpec{5, {}});
+  EXPECT_THROW(exhaustive_search(evaluator, 10'000), InvalidArgument);
 }
 
 TEST(ExhaustiveSearch, MaxPermutationsGuardIsInclusive) {
   // 5 tasks -> exactly 120 permutations: a budget of 120 must pass, 119
   // must throw before any evaluation happens.
   const System sys = small_system();
-  const SearchResult exact = exhaustive_search(sys, EvaluationSpec{5, {}}, 120);
+  PipelineEvaluator evaluator(sys, EvaluationSpec{5, {}});
+  const SearchResult exact = exhaustive_search(evaluator, 120);
   EXPECT_EQ(exact.evaluations, 120);
-  EXPECT_THROW(exhaustive_search(sys, EvaluationSpec{5, {}}, 119), InvalidArgument);
+  EXPECT_THROW(exhaustive_search(evaluator, 119), InvalidArgument);
 }
 
 TEST(RandomSearch, DeterministicUnderSeed) {
   const System sys = small_system();
-  const SearchResult a = random_search(sys, EvaluationSpec{5, {}}, 30, 42);
-  const SearchResult b = random_search(sys, EvaluationSpec{5, {}}, 30, 42);
+  PipelineEvaluator first(sys, EvaluationSpec{5, {}});
+  PipelineEvaluator second(sys, EvaluationSpec{5, {}});
+  const SearchResult a = random_search(first, 30, 42);
+  const SearchResult b = random_search(second, 30, 42);
   EXPECT_EQ(a.best_priorities, b.best_priorities);
   EXPECT_EQ(a.best_objective, b.best_objective);
   EXPECT_EQ(a.evaluations, 30);
@@ -135,18 +161,21 @@ TEST(RandomSearch, DeterministicUnderSeed) {
 
 TEST(RandomSearch, BestIsAtLeastAsGoodAsAnySample) {
   const System sys = small_system();
-  const SearchResult r = random_search(sys, EvaluationSpec{5, {}}, 40, 9);
+  PipelineEvaluator evaluator(sys, EvaluationSpec{5, {}});
+  const SearchResult r = random_search(evaluator, 40, 9);
   const System best = sys.with_priorities(r.best_priorities);
-  EXPECT_EQ(evaluate_assignment(best, EvaluationSpec{5, {}}), r.best_objective);
+  PipelineEvaluator rescore(best, EvaluationSpec{5, {}});
+  EXPECT_EQ(rescore.evaluate(best.flat_priorities()), r.best_objective);
 }
 
 TEST(HillClimb, ReachesExhaustiveOptimumOnSmallSystem) {
   const System sys = small_system();
-  const SearchResult exact = exhaustive_search(sys, EvaluationSpec{5, {}});
+  PipelineEvaluator evaluator(sys, EvaluationSpec{5, {}});
+  const SearchResult exact = exhaustive_search(evaluator);
   HillClimbOptions options;
   options.restarts = 4;
   options.seed = 11;
-  const SearchResult climbed = hill_climb(sys, EvaluationSpec{5, {}}, options);
+  const SearchResult climbed = hill_climb(evaluator, options);
   EXPECT_EQ(climbed.best_objective, exact.best_objective);
 }
 
@@ -158,15 +187,17 @@ TEST(HillClimb, ImprovesOnCaseStudy) {
   options.restarts = 2;
   options.max_steps = 30;
   options.seed = 5;
-  const SearchResult result = hill_climb(sys, EvaluationSpec{10, {}}, options);
-  const Objective nominal = evaluate_assignment(sys, EvaluationSpec{10, {}});
+  PipelineEvaluator evaluator(sys, EvaluationSpec{10, {}});
+  const SearchResult result = hill_climb(evaluator, options);
+  const Objective nominal = evaluator.evaluate(sys.flat_priorities());
   EXPECT_LT(result.best_objective, nominal);
   EXPECT_EQ(result.best_objective.chains_missing, 0);
 }
 
 TEST(HillClimb, ResultPrioritiesAreAValidPermutation) {
   const System sys = small_system();
-  const SearchResult r = hill_climb(sys, EvaluationSpec{5, {}});
+  PipelineEvaluator evaluator(sys, EvaluationSpec{5, {}});
+  const SearchResult r = hill_climb(evaluator);
   ASSERT_EQ(r.best_priorities.size(), 5u);
   // Applying them must produce a valid system (unique priorities 1..5).
   EXPECT_NO_THROW(sys.with_priorities(r.best_priorities));
@@ -176,7 +207,8 @@ TEST(HillClimb, Validation) {
   const System sys = small_system();
   HillClimbOptions bad;
   bad.restarts = 0;
-  EXPECT_THROW(hill_climb(sys, EvaluationSpec{5, {}}, bad), InvalidArgument);
+  PipelineEvaluator evaluator(sys, EvaluationSpec{5, {}});
+  EXPECT_THROW(hill_climb(evaluator, bad), InvalidArgument);
 }
 
 }  // namespace

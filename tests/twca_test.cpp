@@ -252,13 +252,8 @@ TEST(Twca, NoOverloadChainsMeansNoGuaranteeWhenMissing) {
   System sys = date17_case_study();
   std::vector<Chain> chains;
   for (int i : sys.regular_indices()) {
-    const Chain& c = sys.chain(i);
-    Chain::Spec s;
-    s.name = c.name();
-    s.kind = c.kind();
-    s.arrival = c.arrival_ptr();
-    s.deadline = c.name() == "sigma_c" ? std::optional<Time>(100) : c.deadline();
-    s.tasks = c.tasks();
+    Chain::Spec s = sys.chain(i).spec();
+    if (s.name == "sigma_c") s.deadline = 100;
     chains.push_back(Chain(std::move(s)));
   }
   const System reduced("no_overload", std::move(chains));
@@ -285,14 +280,8 @@ TEST(Twca, NegativeSlackYieldsNoGuarantee) {
   System sys = date17_case_study();
   std::vector<Chain> chains;
   for (int i = 0; i < sys.size(); ++i) {
-    const Chain& c = sys.chain(i);
-    Chain::Spec s;
-    s.name = c.name();
-    s.kind = c.kind();
-    s.arrival = c.arrival_ptr();
-    s.overload = c.is_overload();
-    s.deadline = c.name() == "sigma_c" ? std::optional<Time>(150) : c.deadline();
-    s.tasks = c.tasks();
+    Chain::Spec s = sys.chain(i).spec();
+    if (s.name == "sigma_c") s.deadline = 150;
     chains.push_back(Chain(std::move(s)));
   }
   const System tight("tight", std::move(chains));

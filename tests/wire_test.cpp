@@ -301,6 +301,51 @@ TEST(WireRequests, DeadlineAndStreamFieldsParse) {
   }
 }
 
+TEST(WireRequests, IntegersPastTheirRangeAreRefusedNeverTruncated) {
+  // 2^32 + 3 wraps to 3 in an int.  Every field narrowed to an int is
+  // refused outside the int range, naming the field.
+  const struct {
+    const char* line;
+    const char* field;
+  } cases[] = {
+      {R"({"type":"apply_delta","session":"s","deltas":[)"
+       R"({"kind":"set_priority","task":"c.t","priority":4294967299}]})",
+       "priority must be in [-2147483648, 2147483647], got 4294967299"},
+      {R"({"type":"apply_delta","session":"s","deltas":[)"
+       R"({"kind":"set_priority","task":"c.t","priority":-2147483649}]})",
+       "priority must be in [-2147483648, 2147483647], got -2147483649"},
+      {R"({"type":"query","session":"s","queries":[)"
+       R"({"kind":"priority_search","strategy":"random","budget":4294967299}]})",
+       "budget must be in [-2147483648, 2147483647], got 4294967299"},
+      {R"({"type":"query","session":"s","queries":[)"
+       R"({"kind":"priority_search","restarts":4294967297}]})",
+       "restarts must be in [-2147483648, 2147483647], got 4294967297"},
+      {R"({"type":"evaluate","session":"s","unit":0,"candidates":[[1,4294967299]]})",
+       "priority must be in [-2147483648, 2147483647], got 4294967299"},
+      {R"({"type":"open_session","session":"s","system":"x",)"
+       R"("options":{"max_fixed_point_iterations":4294967297}})",
+       "max_fixed_point_iterations must be in [1, 2147483647], got 4294967297"},
+      {R"({"type":"open_session","session":"s","system":"x",)"
+       R"("options":{"max_fixed_point_iterations":0}})",
+       "max_fixed_point_iterations must be in [1, 2147483647], got 0"},
+  };
+  for (const auto& c : cases) {
+    const Expected<WireRequest> r = parse_request(c.line);
+    ASSERT_FALSE(r.has_value()) << c.line;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << c.line;
+    EXPECT_NE(r.status().message().find(c.field), std::string::npos) << r.status().message();
+  }
+
+  // The int bounds themselves still parse.
+  const Expected<WireRequest> edge = parse_request(
+      R"({"type":"query","session":"s","queries":[)"
+      R"({"kind":"priority_search","budget":2147483647,"restarts":-2147483648}]})");
+  ASSERT_TRUE(edge) << edge.status().to_string();
+  const auto& query = std::get<PrioritySearchQuery>(edge.value().queries[0]);
+  EXPECT_EQ(query.budget, 2147483647);
+  EXPECT_EQ(query.restarts, -2147483647 - 1);
+}
+
 // ---------------------------------------------------------------------
 // Bounded line framing
 // ---------------------------------------------------------------------
