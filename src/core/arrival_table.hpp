@@ -6,8 +6,11 @@
 /// delta_minus thousands of times per fixed point.  Going through the
 /// ArrivalModel vtable per call — and, for explicit curves, through a
 /// prefix scan — puts an indirect branch on every term of Eq. (1).  An
-/// ArrivalTable is built once per interference context from the model's
-/// ArrivalTailSpec (arrival.hpp): a dense prefix of delta_minus values
+/// ArrivalTable is built from the model's ArrivalTailSpec (arrival.hpp)
+/// once per chain per session lineage: the session owns the table
+/// (ArrivalTables, interference.hpp), and every interference context it
+/// builds holds a shared reference, which the store still charges in
+/// full.  The table holds a dense prefix of delta_minus values
 /// plus the arithmetic tail (block, span), after which both queries are
 /// a branch-free binary search / direct index plus O(block) integer
 /// arithmetic, bit-identical to the virtual path.

@@ -39,6 +39,15 @@ Chain::Chain(Spec spec)
     total_wcet_ = sat_add(total_wcet_, t.wcet);
   }
 
+  index_priorities();
+}
+
+void Chain::set_priorities(const Priority* priorities) {
+  for (Task& t : tasks_) t.priority = *priorities++;
+  index_priorities();
+}
+
+void Chain::index_priorities() {
   lowest_priority_index_ = 0;
   for (int i = 1; i < size(); ++i) {
     if (task(i).priority < task(lowest_priority_index_).priority) lowest_priority_index_ = i;

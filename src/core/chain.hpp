@@ -50,17 +50,28 @@ class Chain {
   /// equal chain): edit the copy to derive a variant of the chain.
   [[nodiscard]] Spec spec() const;
 
+  /// The chain's name, unique within its system.
   [[nodiscard]] const std::string& name() const { return name_; }
+  /// Execution semantics (synchronous or asynchronous).
   [[nodiscard]] ChainKind kind() const { return kind_; }
+  /// True for a synchronous chain (instances never overlap).
   [[nodiscard]] bool is_synchronous() const { return kind_ == ChainKind::kSynchronous; }
+  /// True for an asynchronous chain (instances may self-interfere).
   [[nodiscard]] bool is_asynchronous() const { return kind_ == ChainKind::kAsynchronous; }
+  /// Activation model of the header task (eta+ / delta- curves).
   [[nodiscard]] const ArrivalModel& arrival() const { return *arrival_; }
+  /// The same model as a shared pointer.  Copies of the chain share it,
+  /// so pointer equality tells a session which chains kept their model
+  /// (and their flat ArrivalTable) across a delta.
   [[nodiscard]] const ArrivalModelPtr& arrival_ptr() const { return arrival_; }
+  /// Relative end-to-end deadline D, if the chain has one.
   [[nodiscard]] const std::optional<Time>& deadline() const { return deadline_; }
+  /// True for a member of C_over (a rarely activated overload chain).
   [[nodiscard]] bool is_overload() const { return overload_; }
 
   /// Number of tasks n_a.
   [[nodiscard]] int size() const { return static_cast<int>(tasks_.size()); }
+  /// All tasks, header first, tail last.
   [[nodiscard]] const std::vector<Task>& tasks() const { return tasks_; }
   /// i-th task (0-based; the paper's τ^{i+1}).
   [[nodiscard]] const Task& task(int i) const { return tasks_[static_cast<std::size_t>(i)]; }
@@ -77,6 +88,15 @@ class Chain {
   [[nodiscard]] int lowest_priority_index() const { return lowest_priority_index_; }
 
  private:
+  friend class System;  // System::with_priorities re-prioritizes copies
+
+  /// Overwrites the task priorities with priorities[0, size()) (task
+  /// order) and re-derives min_priority()/lowest_priority_index().  Only
+  /// priorities change, so nothing else needs re-validation.
+  void set_priorities(const Priority* priorities);
+  /// Derives min_priority_ and lowest_priority_index_ from the tasks.
+  void index_priorities();
+
   std::string name_;
   ChainKind kind_;
   ArrivalModelPtr arrival_;

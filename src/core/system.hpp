@@ -48,7 +48,10 @@ class System {
 
   /// Returns a copy of this system with task priorities replaced by
   /// `priorities` (flat order, size == task_count()).  Used to explore
-  /// random priority assignments (paper Experiment 2).
+  /// random priority assignments (paper Experiment 2).  Copies the
+  /// chains as they are and checks only what can change: the arity and
+  /// that the new priorities are unique (errors read as the
+  /// constructor's).
   [[nodiscard]] System with_priorities(const std::vector<Priority>& priorities) const;
 
   /// Returns a copy of this system with the deadline of chain `chain`

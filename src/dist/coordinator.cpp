@@ -113,7 +113,10 @@ class Coordinator {
       (void)start_worker(w);
     }
     if (live_workers_ == 0) {
-      final_status_ = Status::internal("no worker could be started");
+      // Nothing failed inside wharf: the peers are unreachable or could
+      // not be spawned, which the first failure names.
+      final_status_ =
+          Status::not_found(util::cat("no worker could be started: ", first_start_failure_));
     } else {
       reactor_.run();
     }
@@ -168,7 +171,10 @@ class Coordinator {
 
   bool start_worker(std::size_t w) {
     Expected<WorkerLink> link = WorkerLink::open(specs_[w]);
-    if (!link.has_value()) return false;
+    if (!link.has_value()) {
+      note_start_failure(w, link.status().message());
+      return false;
+    }
     Worker& worker = workers_[w];
     worker.link = std::make_unique<WorkerLink>(std::move(link.value()));
     worker.ready = false;
@@ -176,10 +182,20 @@ class Coordinator {
     reactor_.add_fd(worker.link->fd(), EPOLLIN,
                     [this, w](std::uint32_t /*events*/) { on_events(w); });
     if (!worker.link->send_line(open_request_)) {
+      note_start_failure(w, "cannot send the open_session request");
       worker_down(w);
       return false;
     }
     return true;
+  }
+
+  /// Keeps the first reason a worker could not be started, prefixed
+  /// with its peer ("host:port", or "worker <i>" in spawn mode).
+  void note_start_failure(std::size_t w, const std::string& reason) {
+    if (!first_start_failure_.empty()) return;
+    const WorkerSpec& spec = specs_[w];
+    first_start_failure_ = spec.binary.empty() ? util::cat(spec.host, ":", spec.port, ": ", reason)
+                                               : util::cat("worker ", w, ": ", reason);
   }
 
   /// Deregisters and closes worker `w`'s stream.  EOF on its stdin makes
@@ -510,6 +526,7 @@ class Coordinator {
   int live_workers_ = 0;
   bool done_ = false;
   Status final_status_;
+  std::string first_start_failure_;  ///< see note_start_failure()
   SweepTelemetry telemetry_;
 };
 

@@ -58,6 +58,10 @@ struct Pipeline::State {
   /// budgeted sub-pipeline holds its own, with the target's content
   /// digest recomputed for the substituted deadline).
   std::shared_ptr<const ModelDigests> digests;
+  /// Flat arrival table per chain of *system (the owning session's set;
+  /// a budgeted sub-pipeline shares its parent's, since a deadline
+  /// change keeps every arrival model).
+  std::shared_ptr<const ArrivalTables> tables;
 
   /// Request-local memo: one cell per (stage, key); the first visitor
   /// resolves the artifact through the store's single-flight resolve()
@@ -188,11 +192,13 @@ std::shared_ptr<const T> Pipeline::State::acquire(ArtifactStage stage, const Art
 // ---------------------------------------------------------------------
 
 Pipeline::Pipeline(const System& system, const TwcaOptions& options, ArtifactStore& store,
-                   std::uint64_t epoch, int jobs, std::shared_ptr<const ModelDigests> digests)
+                   std::uint64_t epoch, int jobs, std::shared_ptr<const ModelDigests> digests,
+                   std::shared_ptr<const ArrivalTables> tables)
     : state_(std::make_unique<State>()) {
   state_->system = &system;
   state_->options = options;
   state_->digests = std::move(digests);
+  state_->tables = std::move(tables);
   state_->shared = std::make_shared<Shared>();
   state_->shared->store = &store;
   state_->shared->epoch = epoch;
@@ -200,13 +206,15 @@ Pipeline::Pipeline(const System& system, const TwcaOptions& options, ArtifactSto
 }
 
 Pipeline::Pipeline(std::shared_ptr<const System> owned, const TwcaOptions& options,
-                   std::shared_ptr<Shared> shared, std::shared_ptr<const ModelDigests> digests)
+                   std::shared_ptr<Shared> shared, std::shared_ptr<const ModelDigests> digests,
+                   std::shared_ptr<const ArrivalTables> tables)
     : state_(std::make_unique<State>()) {
   state_->owned = std::move(owned);
   state_->system = state_->owned.get();
   state_->options = options;
   state_->shared = std::move(shared);
   state_->digests = std::move(digests);
+  state_->tables = std::move(tables);
 }
 
 Pipeline::~Pipeline() = default;
@@ -217,7 +225,7 @@ const System& Pipeline::system() const { return *state_->system; }
 std::shared_ptr<const InterferenceContext> Pipeline::interference(int target) {
   return state_->acquire<InterferenceContext>(
       ArtifactStage::kInterference, state_->interference_key_for(target),
-      [&] { return make_interference_context(system(), target); });
+      [&] { return make_interference_context(system(), target, *state_->tables); });
 }
 
 std::shared_ptr<const LatencyResult> Pipeline::latency(int target) {
@@ -289,7 +297,8 @@ Pipeline& Pipeline::budgeted(int target, Time deadline) {
     auto digests = std::make_shared<const ModelDigests>(
         state_->digests->with_content(*owned, target));
     slot = std::unique_ptr<Pipeline>(new Pipeline(std::move(owned), state_->options,
-                                                  state_->shared, std::move(digests)));
+                                                  state_->shared, std::move(digests),
+                                                  state_->tables));
   }
   return *slot;
 }

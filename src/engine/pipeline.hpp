@@ -76,9 +76,13 @@ class Pipeline {
   /// `system` and `store` must outlive the pipeline; `epoch` is the
   /// request's store epoch; `jobs` sizes the intra-ILP split;
   /// `digests` is the digest table of `system` (sessions share theirs,
-  /// derived incrementally across priority deltas).
+  /// derived incrementally across priority deltas); `tables` holds one
+  /// flat arrival table per chain of `system`, which every interference
+  /// context the pipeline builds references (sessions share theirs
+  /// across a lineage).
   Pipeline(const System& system, const TwcaOptions& options, ArtifactStore& store,
-           std::uint64_t epoch, int jobs, std::shared_ptr<const ModelDigests> digests);
+           std::uint64_t epoch, int jobs, std::shared_ptr<const ModelDigests> digests,
+           std::shared_ptr<const ArrivalTables> tables);
   ~Pipeline();
 
   Pipeline(Pipeline&&) noexcept;
@@ -112,8 +116,9 @@ class Pipeline {
   [[nodiscard]] StageCounters stage_diagnostics() const;
 
   /// Sub-pipeline over a variant of the system with `target`'s deadline
-  /// replaced (owned copy), sharing store, epoch, jobs and diagnostics
-  /// with this pipeline.  Path dmm queries use it for per-chain budgets.
+  /// replaced (owned copy), sharing store, epoch, jobs, diagnostics and
+  /// arrival tables with this pipeline.  Path dmm queries use it for
+  /// per-chain budgets.
   /// Memoized per (target, deadline) for the pipeline's lifetime, so a
   /// k-grid over one budget resolves each artifact once.
   [[nodiscard]] Pipeline& budgeted(int target, Time deadline);
@@ -123,7 +128,8 @@ class Pipeline {
   struct State;
 
   Pipeline(std::shared_ptr<const System> owned, const TwcaOptions& options,
-           std::shared_ptr<Shared> shared, std::shared_ptr<const ModelDigests> digests);
+           std::shared_ptr<Shared> shared, std::shared_ptr<const ModelDigests> digests,
+           std::shared_ptr<const ArrivalTables> tables);
 
   std::unique_ptr<State> state_;
 };

@@ -238,29 +238,37 @@ QueryResult run_search(ArtifactStore& store, int jobs, std::size_t concurrent_ta
 // Delta application
 // ---------------------------------------------------------------------
 
-int find_spec(const std::vector<Chain::Spec>& specs, const std::string& chain_name) {
-  for (std::size_t c = 0; c < specs.size(); ++c) {
-    if (specs[c].name == chain_name) return static_cast<int>(c);
+// Name lookups over either a System's chains or the evolving spec list
+// of a structural batch.
+const std::string& name_of(const Chain& chain) { return chain.name(); }
+const std::string& name_of(const Chain::Spec& spec) { return spec.name; }
+const std::vector<Task>& tasks_of(const Chain& chain) { return chain.tasks(); }
+const std::vector<Task>& tasks_of(const Chain::Spec& spec) { return spec.tasks; }
+
+template <typename Chains>
+int find_chain(const Chains& chains, const std::string& chain_name) {
+  for (std::size_t c = 0; c < chains.size(); ++c) {
+    if (name_of(chains[c]) == chain_name) return static_cast<int>(c);
   }
   return -1;
 }
 
-/// Resolves a dotted "chain.task" name against the evolving spec list.
-/// Chain and task names may themselves contain dots, so every split
-/// position is tried; exactly one must resolve (zero is not-found, two+
-/// is a refusal — never a silent wrong-task pick).
-Status find_task_spec(const std::vector<Chain::Spec>& specs, const std::string& dotted,
-                      int& chain, int& task) {
+/// Resolves a dotted "chain.task" name against `chains`.  Chain and task
+/// names may themselves contain dots, so every split position is tried;
+/// exactly one must resolve (zero is not-found, two+ is a refusal —
+/// never a silent wrong-task pick).
+template <typename Chains>
+Status find_task(const Chains& chains, const std::string& dotted, int& chain, int& task) {
   if (dotted.find('.') == std::string::npos) {
     return Status::invalid_argument(
         util::cat("task reference '", dotted, "' must be dotted 'chain.task'"));
   }
   int matches = 0;
   for (auto dot = dotted.find('.'); dot != std::string::npos; dot = dotted.find('.', dot + 1)) {
-    const int c = find_spec(specs, dotted.substr(0, dot));
+    const int c = find_chain(chains, dotted.substr(0, dot));
     if (c < 0) continue;
     const std::string task_name = dotted.substr(dot + 1);
-    const auto& tasks = specs[static_cast<std::size_t>(c)].tasks;
+    const auto& tasks = tasks_of(chains[static_cast<std::size_t>(c)]);
     for (std::size_t t = 0; t < tasks.size(); ++t) {
       if (tasks[t].name == task_name) {
         ++matches;
@@ -288,7 +296,7 @@ Status apply_one(std::vector<Chain::Spec>& specs, const Delta& delta) {
         if constexpr (std::is_same_v<D, SetPriorityDelta>) {
           int chain = -1;
           int task = -1;
-          const Status found = find_task_spec(specs, d.task, chain, task);
+          const Status found = find_task(specs, d.task, chain, task);
           if (!found.is_ok()) return found;
           specs[static_cast<std::size_t>(chain)].tasks[static_cast<std::size_t>(task)].priority =
               d.priority;
@@ -296,18 +304,18 @@ Status apply_one(std::vector<Chain::Spec>& specs, const Delta& delta) {
         } else if constexpr (std::is_same_v<D, SetWcetDelta>) {
           int chain = -1;
           int task = -1;
-          const Status found = find_task_spec(specs, d.task, chain, task);
+          const Status found = find_task(specs, d.task, chain, task);
           if (!found.is_ok()) return found;
           specs[static_cast<std::size_t>(chain)].tasks[static_cast<std::size_t>(task)].wcet =
               d.wcet;
           return Status::ok();
         } else if constexpr (std::is_same_v<D, SetDeadlineDelta>) {
-          const int chain = find_spec(specs, d.chain);
+          const int chain = find_chain(specs, d.chain);
           if (chain < 0) return Status::not_found(util::cat("unknown chain '", d.chain, "'"));
           specs[static_cast<std::size_t>(chain)].deadline = d.deadline;
           return Status::ok();
         } else if constexpr (std::is_same_v<D, SetArrivalDelta>) {
-          const int chain = find_spec(specs, d.chain);
+          const int chain = find_chain(specs, d.chain);
           if (chain < 0) return Status::not_found(util::cat("unknown chain '", d.chain, "'"));
           const auto parsed = capture([&] { return parse_arrival(d.arrival); });
           if (!parsed) return parsed.status();
@@ -318,7 +326,7 @@ Status apply_one(std::vector<Chain::Spec>& specs, const Delta& delta) {
           return Status::ok();
         } else {
           static_assert(std::is_same_v<D, RemoveChainDelta>);
-          const int chain = find_spec(specs, d.chain);
+          const int chain = find_chain(specs, d.chain);
           if (chain < 0) return Status::not_found(util::cat("unknown chain '", d.chain, "'"));
           specs.erase(specs.begin() + chain);
           return Status::ok();
@@ -327,7 +335,24 @@ Status apply_one(std::vector<Chain::Spec>& specs, const Delta& delta) {
       delta);
 }
 
-/// The whole batch against `base`: evolving specs, then one rebuild
+/// A priority-only batch against `base`: each SetPriorityDelta resolved
+/// to a flat task index, in order, then one System::with_priorities
+/// whose validation failures surface as invalid-argument.
+Expected<System> reprioritize(const System& base, const std::vector<Delta>& deltas) {
+  std::vector<Priority> priorities = base.flat_priorities();
+  for (const Delta& delta : deltas) {
+    const auto& d = std::get<SetPriorityDelta>(delta);
+    int chain = -1;
+    int flat = -1;
+    const Status found = find_task(base.chains(), d.task, chain, flat);
+    if (!found.is_ok()) return found;
+    for (int c = 0; c < chain; ++c) flat += base.chain(c).size();
+    priorities[static_cast<std::size_t>(flat)] = d.priority;
+  }
+  return capture([&] { return base.with_priorities(priorities); });
+}
+
+/// A structural batch against `base`: evolving specs, then one rebuild
 /// whose validation failures surface as invalid-argument.
 Expected<System> mutate(const System& base, const std::vector<Delta>& deltas) {
   std::vector<Chain::Spec> specs;
@@ -363,6 +388,10 @@ struct Session::Impl {
   /// Digest table of *model (immutable; speculative children derive
   /// theirs from it).
   std::shared_ptr<const ModelDigests> digests;
+  /// Flat arrival table per chain of *model, shared by every
+  /// interference context this session builds and inherited by its
+  /// priority-only children (their chains keep their arrival models).
+  std::shared_ptr<const ArrivalTables> tables;
   /// Digests this session carried over vs. computed, summed over its
   /// table build and every apply().
   DigestStats digest_stats{};
@@ -384,7 +413,8 @@ struct Session::Impl {
   }
 
   void reset_pipeline() {
-    pipeline = std::make_unique<Pipeline>(*model, options, *store, epoch, jobs, digests);
+    pipeline =
+        std::make_unique<Pipeline>(*model, options, *store, epoch, jobs, digests, tables);
   }
 
   [[nodiscard]] StageCounters lifetime_stages() const {
@@ -406,10 +436,11 @@ Session::Session(System system, TwcaOptions options, ArtifactStore& store, int j
 
 Session::Session(System system, TwcaOptions options, ArtifactStore& store, int jobs,
                  std::uint64_t epoch)
-    : Session(std::move(system), options, store, jobs, epoch, nullptr) {}
+    : Session(std::move(system), options, store, jobs, epoch, nullptr, nullptr) {}
 
 Session::Session(System system, TwcaOptions options, ArtifactStore& store, int jobs,
-                 std::uint64_t epoch, std::shared_ptr<const ModelDigests> digests)
+                 std::uint64_t epoch, std::shared_ptr<const ModelDigests> digests,
+                 std::shared_ptr<const ArrivalTables> tables)
     : impl_(std::make_unique<Impl>()) {
   impl_->store = &store;
   impl_->options = options;
@@ -417,6 +448,9 @@ Session::Session(System system, TwcaOptions options, ArtifactStore& store, int j
   impl_->model = std::make_shared<const System>(std::move(system));
   impl_->set_digests(digests != nullptr ? std::move(digests)
                                         : std::make_shared<const ModelDigests>(*impl_->model));
+  impl_->tables = tables != nullptr
+                      ? std::move(tables)
+                      : std::make_shared<const ArrivalTables>(build_arrival_tables(*impl_->model));
   impl_->epoch = epoch;
   impl_->reset_pipeline();
 }
@@ -430,7 +464,9 @@ const TwcaOptions& Session::options() const { return impl_->options; }
 std::uint64_t Session::revision() const { return impl_->revision; }
 
 Status Session::apply(const std::vector<Delta>& deltas) {
-  Expected<System> mutated = mutate(*impl_->model, deltas);
+  const bool structural = any_structural(deltas);
+  Expected<System> mutated =
+      structural ? mutate(*impl_->model, deltas) : reprioritize(*impl_->model, deltas);
   if (!mutated) return mutated.status();
 
   // Commit: retire the current pipeline's telemetry, swap the model in,
@@ -439,12 +475,18 @@ Status Session::apply(const std::vector<Delta>& deltas) {
   impl_->retired = impl_->lifetime_stages();
   impl_->pipeline.reset();
   auto model = std::make_shared<const System>(std::move(mutated).value());
-  // A structural batch rebuilds the digest table; a priority-only batch
-  // derives it from the current one.  The old table stays intact for
-  // any speculative session still holding it.
+  // A structural batch rebuilds the digest table and the tables of the
+  // chains whose arrival model it replaced; a priority-only batch
+  // derives the digests from the current ones and keeps every table.
+  // The old table and set stay intact for any speculative session
+  // still holding them.
   impl_->set_digests(std::make_shared<const ModelDigests>(
-      any_structural(deltas) ? ModelDigests(*model)
-                             : impl_->digests->derive_priorities(*impl_->model, *model)));
+      structural ? ModelDigests(*model)
+                 : impl_->digests->derive_priorities(*impl_->model, *model)));
+  if (structural) {
+    impl_->tables =
+        std::make_shared<const ArrivalTables>(build_arrival_tables(*model, *impl_->tables));
+  }
   impl_->model = std::move(model);
   impl_->epoch = impl_->store->begin_epoch();
   impl_->reset_pipeline();
@@ -454,19 +496,34 @@ Status Session::apply(const std::vector<Delta>& deltas) {
 }
 
 Session Session::speculate(const std::vector<Delta>& deltas, int jobs) const {
+  if (!any_structural(deltas)) {
+    Expected<System> candidate = reprioritize(*impl_->model, deltas);
+    WHARF_EXPECT(candidate.has_value(),
+                 "invalid speculative delta batch: " << candidate.status().to_string());
+    return derive(std::move(candidate).value(), jobs);
+  }
+  // Structural candidates build their own digest table, and tables for
+  // the chains whose arrival model changed.
   Expected<System> mutated = mutate(*impl_->model, deltas);
   WHARF_EXPECT(mutated.has_value(),
                "invalid speculative delta batch: " << mutated.status().to_string());
-  // Priority-only candidates derive their digest table from this
-  // session's; structural candidates build their own.
-  std::shared_ptr<const ModelDigests> digests;
-  if (!any_structural(deltas)) {
-    digests = std::make_shared<const ModelDigests>(
-        impl_->digests->derive_priorities(*impl_->model, mutated.value()));
-  }
+  auto tables =
+      std::make_shared<const ArrivalTables>(build_arrival_tables(mutated.value(), *impl_->tables));
   return Session(std::move(mutated).value(), impl_->options, *impl_->store,
-                 jobs < 0 ? impl_->jobs : jobs, impl_->store->begin_epoch(),
-                 std::move(digests));
+                 jobs < 0 ? impl_->jobs : jobs, impl_->store->begin_epoch(), nullptr,
+                 std::move(tables));
+}
+
+Session Session::speculate(const std::vector<Priority>& priorities, int jobs) const {
+  return derive(impl_->model->with_priorities(priorities), jobs);
+}
+
+Session Session::derive(System candidate, int jobs) const {
+  auto digests = std::make_shared<const ModelDigests>(
+      impl_->digests->derive_priorities(*impl_->model, candidate));
+  return Session(std::move(candidate), impl_->options, *impl_->store,
+                 jobs < 0 ? impl_->jobs : jobs, impl_->store->begin_epoch(), std::move(digests),
+                 impl_->tables);
 }
 
 QueryResult Session::execute(const Query& query, std::size_t concurrent_tasks) {
@@ -558,6 +615,8 @@ std::uint64_t Session::fingerprint() const {
 }
 
 const ModelDigests& Session::digests() const { return *impl_->digests; }
+
+const ArrivalTables& Session::arrival_tables() const { return *impl_->tables; }
 
 SessionStats Session::stats() const {
   SessionStats out;

@@ -44,6 +44,14 @@
 /// moved priorities can change; a structural delta (anything except
 /// SetPriority) rebuilds it.  Nothing is memoized across tables, so a
 /// session's key state is O(m²) digests whatever it has served.
+///
+/// A session also owns one flat ArrivalTable per chain (ArrivalTables,
+/// core/interference.hpp), which every interference context it builds
+/// references instead of building private copies.  Priority-only
+/// children and budgeted path sub-pipelines share the set; a
+/// structural delta rebuilds only the tables of chains whose arrival
+/// model it replaced.  The set lives as long as the lineage's sessions
+/// and the stored contexts that reference it, never longer.
 
 #ifndef WHARF_ENGINE_SESSION_HPP
 #define WHARF_ENGINE_SESSION_HPP
@@ -177,11 +185,21 @@ class Session {
   Status apply(const std::vector<Delta>& deltas);
 
   /// A hypothetical session: the current model plus `deltas`, sharing
-  /// this session's store (own epoch).  For priority-only batches its
-  /// digest table is derived from this session's, so the key cost is
-  /// O(moved chains × m).  Throws on invalid deltas (the search evaluator builds
-  /// them by construction); `jobs` < 0 inherits this session's.
+  /// this session's store (own epoch).  A priority-only batch resolves
+  /// to a flat priority vector and takes the speculate(priorities) path:
+  /// its digest table derives from this session's, so the key cost is
+  /// O(moved chains × m), and it shares this session's arrival tables.
+  /// A structural batch rebuilds the digests and the tables of the
+  /// chains whose arrival model changed.  Throws on invalid deltas;
+  /// `jobs` < 0 inherits this session's.
   [[nodiscard]] Session speculate(const std::vector<Delta>& deltas, int jobs = -1) const;
+
+  /// A hypothetical session of the current model with every task
+  /// priority replaced (flat task order, System::with_priorities; throws
+  /// its errors).  The candidate shares the store (own epoch) and the
+  /// arrival tables, and derives its digest table from this session's.
+  /// This is how the search evaluator scores a candidate.
+  [[nodiscard]] Session speculate(const std::vector<Priority>& priorities, int jobs = -1) const;
 
   /// Answers one query on the current model (same kinds and the same
   /// Status-not-exception contract as Engine::run).
@@ -228,11 +246,24 @@ class Session {
   /// this revision is built from (invalidated like system()).
   [[nodiscard]] const ModelDigests& digests() const;
 
+  /// The flat arrival table of each chain of the current model
+  /// (index-aligned with system().chains(); invalidated like system()).
+  /// Every interference context this session builds references these
+  /// tables.  The session's priority-only children share the same set,
+  /// and so do its path queries' budgeted sub-pipelines.
+  [[nodiscard]] const ArrivalTables& arrival_tables() const;
+
  private:
   /// Delegation target of every constructor (and speculate()): a null
-  /// `digests` means a table built from `system`.
+  /// `digests` means a table built from `system`, null `tables` a set
+  /// built from it.
   Session(System system, TwcaOptions options, ArtifactStore& store, int jobs,
-          std::uint64_t epoch, std::shared_ptr<const ModelDigests> digests);
+          std::uint64_t epoch, std::shared_ptr<const ModelDigests> digests,
+          std::shared_ptr<const ArrivalTables> tables);
+
+  /// The priority-only child over `candidate` (this model with other
+  /// priorities): derived digests, shared tables, a new store epoch.
+  [[nodiscard]] Session derive(System candidate, int jobs) const;
 
   struct Impl;
   std::unique_ptr<Impl> impl_;

@@ -7,25 +7,11 @@
 #include "engine/session.hpp"
 #include "gen/random_systems.hpp"
 #include "util/expect.hpp"
-#include "util/strings.hpp"
 #include "util/worker_pool.hpp"
 
 namespace wharf::search {
 
 namespace {
-
-/// Dotted "chain.task" names in flat task order (the address space of
-/// SetPriorityDelta batches).
-std::vector<std::string> dotted_task_names(const System& system) {
-  std::vector<std::string> names;
-  names.reserve(static_cast<std::size_t>(system.task_count()));
-  for (const Chain& chain : system.chains()) {
-    for (const Task& task : chain.tasks()) {
-      names.push_back(util::cat(chain.name(), ".", task.name));
-    }
-  }
-  return names;
-}
 
 /// Resolves (and validates) the evaluation targets of `spec` against
 /// `system`: explicit indices, or every non-overload chain with a
@@ -134,20 +120,6 @@ std::vector<Priority> batch_centre(const std::vector<std::vector<Priority>>& can
   return centre;
 }
 
-/// One SetPriorityDelta per task `priorities` moves off `from` (flat
-/// task order, `names` the dotted task names).
-std::vector<Delta> priority_deltas(const std::vector<Priority>& from,
-                                   const std::vector<Priority>& priorities,
-                                   const std::vector<std::string>& names) {
-  WHARF_EXPECT(priorities.size() == from.size(),
-               "expected " << from.size() << " priorities, got " << priorities.size());
-  std::vector<Delta> deltas;
-  for (std::size_t i = 0; i < priorities.size(); ++i) {
-    if (priorities[i] != from[i]) deltas.push_back(SetPriorityDelta{names[i], priorities[i]});
-  }
-  return deltas;
-}
-
 }  // namespace
 
 void fold_scores(const std::vector<std::vector<Priority>>& candidates,
@@ -196,7 +168,6 @@ PipelineEvaluator::PipelineEvaluator(System base, EvaluationSpec spec, TwcaOptio
       options_(options),
       store_(&store),
       jobs_(jobs),
-      task_names_(dotted_task_names(base_)),
       anchor_(std::make_unique<Session>(base_, options_, *store_, 1)),
       anchor_priorities_(base_.flat_priorities()),
       stats_{0, {}, anchor_->stats().slices} {}
@@ -209,7 +180,6 @@ PipelineEvaluator::PipelineEvaluator(System base, EvaluationSpec spec, TwcaOptio
       options_(options),
       owned_store_(std::make_unique<ArtifactStore>(cache_bytes)),
       store_(owned_store_.get()),
-      task_names_(dotted_task_names(base_)),
       anchor_(std::make_unique<Session>(base_, options_, *store_, 1)),
       anchor_priorities_(base_.flat_priorities()),
       stats_{0, {}, anchor_->stats().slices} {}
@@ -219,15 +189,13 @@ PipelineEvaluator::~PipelineEvaluator() = default;
 const System& PipelineEvaluator::base() const { return base_; }
 
 Objective PipelineEvaluator::score(const std::vector<Priority>& priorities, int ilp_jobs) {
-  // Candidate = delta batch: one SetPriorityDelta per task the candidate
-  // moves off the anchor assignment.  speculate() opens the candidate's
-  // own store epoch — artifacts resolved by *earlier* candidates (or
-  // earlier engine requests) classify as hits, which is what makes
-  // neighborhood reuse observable in stats() — and derives the
-  // candidate's digest table from the anchor's, recomputing only the
-  // digests of the moved chains.
-  Session candidate = anchor_->speculate(
-      priority_deltas(anchor_priorities_, priorities, task_names_), ilp_jobs);
+  // Candidate = priority vector.  speculate() opens the candidate's own
+  // store epoch — artifacts resolved by *earlier* candidates (or earlier
+  // engine requests) classify as hits, which is what makes neighborhood
+  // reuse observable in stats() — derives the candidate's digest table
+  // from the anchor's, recomputing only the digests of the moved chains,
+  // and shares the anchor's arrival tables.
+  Session candidate = anchor_->speculate(priorities, ilp_jobs);
 
   Objective obj;
   for (const int c : targets_) {
@@ -256,8 +224,7 @@ void PipelineEvaluator::move_anchor(const std::vector<Priority>& priorities) {
                            anchor_priorities_.end())) {
     return;  // already there, or not a valid assignment: keep the anchor
   }
-  anchor_ = std::make_unique<Session>(anchor_->speculate(
-      priority_deltas(anchor_priorities_, priorities, task_names_), 1));
+  anchor_ = std::make_unique<Session>(anchor_->speculate(priorities, 1));
   anchor_priorities_ = priorities;
   const DigestStats derived = anchor_->stats().slices;
   const util::MutexLock guard(stats_mutex_);

@@ -31,7 +31,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "core/model_slice.hpp"
@@ -113,9 +112,9 @@ class Evaluator {
 };
 
 /// The production backend: scores candidates through wharf::Session —
-/// each candidate is a *delta batch* (one SetPriorityDelta per task the
-/// candidate moves) speculated off an anchor session against the shared
-/// ArtifactStore.  Every candidate session opens its own store epoch, so
+/// each candidate's flat priority vector is speculated off an anchor
+/// session against the shared ArtifactStore, sharing the anchor's
+/// arrival tables.  Every candidate session opens its own store epoch, so
 /// reuse across candidates is observable as hits in stats().  The
 /// anchor starts at the base assignment and evaluate_many() moves it to
 /// the batch's centre (the assignment a pairwise-swap neighbourhood is
@@ -144,8 +143,8 @@ class PipelineEvaluator final : public Evaluator {
 
   /// The base system (see Evaluator::base).
   [[nodiscard]] const System& base() const override;
-  /// Scores one candidate as a speculated delta batch; the ILP of each
-  /// target splits across `jobs`.
+  /// Scores one candidate as a speculated priority vector; the ILP of
+  /// each target splits across `jobs`.
   [[nodiscard]] Objective evaluate(const std::vector<Priority>& priorities) override;
   /// Moves the anchor to the batch's centre, then scores every candidate
   /// on the worker pool (bit-identical to evaluate() in turn).
@@ -170,7 +169,6 @@ class PipelineEvaluator final : public Evaluator {
   std::unique_ptr<ArtifactStore> owned_store_;  ///< engaged by the owning ctor
   ArtifactStore* store_ = nullptr;
   int jobs_ = 1;
-  std::vector<std::string> task_names_;  ///< dotted "chain.task" per flat index
   /// The session candidates speculate from, and its flat priorities.
   std::unique_ptr<Session> anchor_;
   std::vector<Priority> anchor_priorities_;

@@ -30,7 +30,8 @@ enum class StatusCode {
   kOk = 0,
   /// A documented precondition was violated (wharf::InvalidArgument).
   kInvalidArgument,
-  /// A named entity (chain, task) does not exist.
+  /// A named entity (chain, task, sweep peer) does not exist or cannot be
+  /// reached.
   kNotFound,
   /// A textual description could not be parsed (wharf::ParseError).
   kParseError,

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
 #include <fcntl.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -248,6 +251,31 @@ TEST(Cli, IntegerFlagsPastIntRangeAreRefusedNeverTruncated) {
     EXPECT_NE(r.err.find(c.message), std::string::npos) << r.err;
     EXPECT_EQ(r.out, "") << c.message;
   }
+}
+
+TEST(Cli, SweepNamesTheRefusedPeer) {
+  // A loopback socket that is bound but never listens refuses every
+  // connection, and holding it keeps the port ours for the whole test.
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr), 0);
+  socklen_t length = sizeof addr;
+  ASSERT_EQ(::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &length), 0);
+  const std::string peer = "127.0.0.1:" + std::to_string(ntohs(addr.sin_port));
+
+  const CliRun r = invoke({"sweep", "-", "--strategy", "random", "--budget", "4", "--connect",
+                           peer},
+                          case_study_text());
+  ::close(fd);
+  // Not an internal fault: the status names the peer and the transport
+  // error; the exit code stays the documented 2.
+  EXPECT_EQ(r.exit_code, 2);
+  EXPECT_EQ(r.err, "not-found: no worker could be started: " + peer + ": connect(" + peer +
+                       "): Connection refused\n");
+  EXPECT_EQ(r.out, "");
 }
 
 TEST(Cli, SearchJsonCarriesStoreTelemetry) {

@@ -159,6 +159,33 @@ TEST(System, RejectsDuplicateChainNames) {
   EXPECT_THROW(System("bad", std::move(chains)), InvalidArgument);
 }
 
+TEST(System, ReportsTheFirstOffenceInChainOrder) {
+  // Each chain is checked for its name, then its priorities: whichever
+  // offence an in-order scan meets first is the one reported.
+  const auto error_of = [](std::vector<Chain> chains) -> std::string {
+    try {
+      (void)System("bad", std::move(chains));
+    } catch (const InvalidArgument& e) {
+      return e.what();
+    }
+    return "";
+  };
+  std::vector<Chain> priority_first;
+  priority_first.emplace_back(basic_chain("x", {Task{"t1", 5, 1}}));
+  priority_first.emplace_back(basic_chain("y", {Task{"t2", 5, 1}}));
+  priority_first.emplace_back(basic_chain("x", {Task{"t3", 6, 1}}));
+  EXPECT_EQ(error_of(std::move(priority_first)).rfind(
+                "duplicate priority 5 on tasks 't1' and 't2' (the paper assumes a total "
+                "priority order) [",
+                0),
+            0u);
+  std::vector<Chain> name_first;
+  name_first.emplace_back(basic_chain("x", {Task{"t1", 5, 1}}));
+  name_first.emplace_back(basic_chain("x", {Task{"t2", 6, 1}}));
+  name_first.emplace_back(basic_chain("y", {Task{"t3", 5, 1}, Task{"t4", 6, 1}}));
+  EXPECT_EQ(error_of(std::move(name_first)).rfind("duplicate chain name 'x' [", 0), 0u);
+}
+
 TEST(System, RejectsEmpty) {
   EXPECT_THROW(System("empty", {}), InvalidArgument);
 }

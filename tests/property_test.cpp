@@ -534,6 +534,146 @@ TEST(KeyAudit, DerivedDigestsMatchFreshBuildsAndCanonicalEncodings) {
 }
 
 // ---------------------------------------------------------------------------
+// Candidate construction: System::with_priorities copies the chains and
+// re-prioritizes them in place.  It must equal rebuilding every chain
+// from its Spec (the construction it replaced) in every observable, and
+// refuse bad inputs with the same text.
+// ---------------------------------------------------------------------------
+
+/// `base` re-prioritized the long way: every chain rebuilt from its Spec,
+/// then the system from the chains.
+System spec_rebuilt(const System& base, const std::vector<Priority>& priorities) {
+  std::vector<Chain> chains;
+  std::size_t next = 0;
+  for (const Chain& chain : base.chains()) {
+    Chain::Spec spec = chain.spec();
+    for (Task& task : spec.tasks) task.priority = priorities.at(next++);
+    chains.emplace_back(std::move(spec));
+  }
+  return System(base.name(), std::move(chains));
+}
+
+/// The duplicate-priority text a first-come scan in flat order reports:
+/// the first task whose priority an earlier task holds, and that
+/// earlier task.
+std::string first_come_duplicate(const System& base, const std::vector<Priority>& priorities) {
+  std::unordered_map<Priority, std::string> owner;
+  std::size_t next = 0;
+  for (const Chain& chain : base.chains()) {
+    for (const Task& task : chain.tasks()) {
+      const Priority p = priorities[next++];
+      const auto [it, inserted] = owner.emplace(p, task.name);
+      if (!inserted) {
+        return "duplicate priority " + std::to_string(p) + " on tasks '" + it->second +
+               "' and '" + task.name + "' (the paper assumes a total priority order)";
+      }
+    }
+  }
+  return "";
+}
+
+/// An error's text without the " [check at file:line]" location suffix.
+std::string message_text(const std::exception& e) {
+  const std::string what = e.what();
+  return what.substr(0, what.rfind(" ["));
+}
+
+void expect_same_model(const System& got, const System& want, const std::string& what) {
+  EXPECT_EQ(got.flat_priorities(), want.flat_priorities()) << what;
+  EXPECT_EQ(io::serialize_system(got), io::serialize_system(want)) << what;
+  EXPECT_EQ(got.task_count(), want.task_count()) << what;
+  EXPECT_EQ(got.overload_indices(), want.overload_indices()) << what;
+  EXPECT_EQ(got.regular_indices(), want.regular_indices()) << what;
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (int c = 0; c < got.size(); ++c) {
+    const Chain& g = got.chain(c);
+    const Chain& w = want.chain(c);
+    ASSERT_EQ(g.size(), w.size()) << what;
+    for (int t = 0; t < g.size(); ++t) {
+      EXPECT_EQ(g.task(t).name, w.task(t).name) << what;
+      EXPECT_EQ(g.task(t).priority, w.task(t).priority) << what;
+      EXPECT_EQ(g.task(t).wcet, w.task(t).wcet) << what;
+    }
+    EXPECT_EQ(g.min_priority(), w.min_priority()) << what << ", chain " << c;
+    EXPECT_EQ(g.lowest_priority_index(), w.lowest_priority_index()) << what << ", chain " << c;
+    EXPECT_EQ(g.total_wcet(), w.total_wcet()) << what;
+    EXPECT_EQ(g.arrival_ptr(), w.arrival_ptr()) << what;
+  }
+  const ModelDigests g(got);
+  const ModelDigests w(want);
+  for (int b = 0; b < got.size(); ++b) {
+    EXPECT_EQ(g.content(b), w.content(b)) << what << ", chain " << b;
+    for (int a = 0; a < got.size(); ++a) {
+      if (a == b) continue;
+      EXPECT_EQ(g.interference(a, b), w.interference(a, b)) << what;
+      EXPECT_EQ(g.busy_interference(a, b), w.busy_interference(a, b)) << what;
+      if (got.chain(a).is_overload()) {
+        EXPECT_EQ(g.overload(a, b), w.overload(a, b)) << what;
+      }
+    }
+  }
+}
+
+TEST(CandidateConstruction, WithPrioritiesEqualsTheSpecRebuild) {
+  int refusals = 0;
+  for (int seed = 0; seed < 200; ++seed) {
+    std::mt19937_64 rng(static_cast<std::uint64_t>(seed) * 7919 + 3);
+    const System base = gen::random_system(property_spec(seed % 2 == 0), rng);
+    const int n = base.task_count();
+    const std::string at = "seed " + std::to_string(seed);
+    for (int round = 0; round < 4; ++round) {
+      // A permutation of the base priorities...
+      const std::vector<Priority> permuted = gen::shuffled_priorities(n, rng);
+      expect_same_model(base.with_priorities(permuted), spec_rebuilt(base, permuted), at);
+      // ...and distinct values that are not one.
+      std::vector<Priority> spread = permuted;
+      for (Priority& p : spread) p = 3 * p + 7;
+      expect_same_model(base.with_priorities(spread), spec_rebuilt(base, spread), at);
+
+      // Duplicates (one or, on odd rounds, up to three clashing pairs, so
+      // which clash is reported first matters): both constructions refuse
+      // with the first-come text.
+      if (n < 2) continue;
+      std::vector<Priority> clashing = permuted;
+      for (int pair = 0; pair < (round % 2 == 1 ? 3 : 1); ++pair) {
+        const auto i = static_cast<std::size_t>(rng() % static_cast<std::uint64_t>(n));
+        auto j = static_cast<std::size_t>(rng() % static_cast<std::uint64_t>(n - 1));
+        if (j >= i) ++j;
+        clashing[j] = clashing[i];
+      }
+      const std::string expected = first_come_duplicate(base, clashing);
+      ASSERT_FALSE(expected.empty());
+      try {
+        (void)base.with_priorities(clashing);
+        ADD_FAILURE() << at << ": duplicate priorities accepted";
+      } catch (const InvalidArgument& e) {
+        EXPECT_EQ(message_text(e), expected) << at;
+        try {
+          (void)spec_rebuilt(base, clashing);
+          ADD_FAILURE() << at << ": the constructor accepted duplicate priorities";
+        } catch (const InvalidArgument& rebuilt) {
+          EXPECT_EQ(std::string(e.what()), rebuilt.what()) << at;
+        }
+        ++refusals;
+      }
+    }
+
+    // Wrong arity, either way.
+    for (const int size : {n - 1, n + 1}) {
+      try {
+        (void)base.with_priorities(std::vector<Priority>(static_cast<std::size_t>(size), 1));
+        ADD_FAILURE() << at << ": wrong arity accepted";
+      } catch (const InvalidArgument& e) {
+        EXPECT_EQ(message_text(e), "expected " + std::to_string(n) + " priorities, got " +
+                                       std::to_string(size))
+            << at;
+      }
+    }
+  }
+  EXPECT_GE(refusals, 200);
+}
+
+// ---------------------------------------------------------------------------
 // Priority-shuffle sweep on the case study (Experiment 2 soundness):
 // whatever the priority assignment, the simulator must respect the bounds.
 // ---------------------------------------------------------------------------

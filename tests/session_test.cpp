@@ -22,6 +22,7 @@
 
 #include "core/case_studies.hpp"
 #include "core/twca.hpp"
+#include "engine/artifact_types.hpp"
 #include "engine/engine.hpp"
 #include "engine/session.hpp"
 #include "gen/random_systems.hpp"
@@ -571,6 +572,139 @@ TEST(Session, EvaluatorSharesSliceMemoAcrossCandidates) {
   const search::EvaluatorStats stats = evaluator.stats();
   EXPECT_GT(stats.slices.hits, 0u);
   EXPECT_GT(stats.slices.hits, stats.slices.misses);
+}
+
+// ---------------------------------------------------------------------
+// Arrival tables: one per chain per session lineage
+// ---------------------------------------------------------------------
+
+/// The interference context of `target` that `store` holds for `system`
+/// (fails the test when it is not resident).
+std::shared_ptr<const InterferenceContext> stored_context(ArtifactStore& store,
+                                                          const System& system, int target) {
+  const auto found =
+      store.lookup(ArtifactStage::kInterference, interference_key(system, target));
+  EXPECT_TRUE(found.has_value()) << "no stored context for target " << target;
+  if (!found.has_value()) return nullptr;
+  return std::static_pointer_cast<const InterferenceContext>(found->value);
+}
+
+/// Every table `context` references is the one `tables` holds for that
+/// chain: no private copies.
+void expect_references(const InterferenceContext& context, const ArrivalTables& tables,
+                       const std::string& what) {
+  EXPECT_EQ(context.self_table, tables[static_cast<std::size_t>(context.target)]) << what;
+  for (const ChainInterference& other : context.others) {
+    EXPECT_EQ(other.table, tables[static_cast<std::size_t>(other.chain)])
+        << what << ", interferer " << other.chain;
+  }
+}
+
+TEST(Session, ContextsOfOneLineageShareOneArrivalTablePerChain) {
+  ArtifactStore store;
+  Session session(case_study(), {}, store);
+  const System& base = session.system();
+  const ArrivalTables& tables = session.arrival_tables();
+  ASSERT_EQ(tables.size(), base.chains().size());
+  for (int c = 0; c < base.size(); ++c) {
+    EXPECT_EQ(&tables[static_cast<std::size_t>(c)]->model(), base.chain(c).arrival_ptr().get());
+  }
+
+  // Two targets of one session reference the same table per chain.
+  const int a = base.regular_indices()[0];
+  const int b = base.regular_indices()[1];
+  (void)session.latency(a);
+  (void)session.latency(b);
+  const auto context_a = stored_context(store, base, a);
+  const auto context_b = stored_context(store, base, b);
+  ASSERT_TRUE(context_a && context_b);
+  expect_references(*context_a, tables, "target a");
+  expect_references(*context_b, tables, "target b");
+
+  // The store still charges every reference in full: the context's own
+  // fields plus sizeof and heap_bytes() of each table it points at.
+  InterferenceContext bare = *context_a;
+  std::size_t table_bytes = sizeof(ArrivalTable) + bare.self_table->heap_bytes();
+  bare.self_table.reset();
+  for (ChainInterference& other : bare.others) {
+    table_bytes += sizeof(ArrivalTable) + other.table->heap_bytes();
+    other.table.reset();
+  }
+  EXPECT_EQ(weight_of(*context_a), weight_of(bare) + table_bytes);
+
+  // A priority-only child shares the whole set; the contexts its swap
+  // re-keys are built over the same tables.
+  std::vector<Priority> swapped = base.flat_priorities();
+  std::swap(swapped[0], swapped[static_cast<std::size_t>(base.chain(0).size())]);
+  const Session child = session.speculate(swapped);
+  EXPECT_EQ(&child.arrival_tables(), &tables);
+  Session delta_child = session.speculate(
+      {SetPriorityDelta{base.chain(0).name() + "." + base.chain(0).task(0).name, swapped[0]},
+       SetPriorityDelta{base.chain(1).name() + "." + base.chain(1).task(0).name,
+                        swapped[static_cast<std::size_t>(base.chain(0).size())]}});
+  EXPECT_EQ(&delta_child.arrival_tables(), &tables);
+  (void)delta_child.latency(a);
+  const auto child_context = stored_context(store, delta_child.system(), a);
+  ASSERT_TRUE(child_context);
+  EXPECT_NE(child_context, context_a);  // re-keyed: chain 0 moved
+  expect_references(*child_context, tables, "priority-only child");
+}
+
+TEST(Session, ArrivalDeltaRebuildsOnlyThatChainsTable) {
+  ArtifactStore store;
+  Session session(case_study(), {}, store);
+  const ArrivalTables parent = session.arrival_tables();
+  const std::string chain0 = session.system().chain(0).name();
+
+  Session child = session.speculate({SetArrivalDelta{chain0, "periodic(1234)"}});
+  const ArrivalTables& tables = child.arrival_tables();
+  ASSERT_EQ(tables.size(), parent.size());
+  EXPECT_NE(tables[0], parent[0]);
+  EXPECT_EQ(tables[0]->model().describe(), "periodic(1234)");
+  for (std::size_t c = 1; c < parent.size(); ++c) EXPECT_EQ(tables[c], parent[c]) << c;
+  const int target = child.system().regular_indices()[1];
+  (void)child.latency(target);
+  const auto context = stored_context(store, child.system(), target);
+  ASSERT_TRUE(context);
+  expect_references(*context, tables, "arrival-delta child");
+
+  // apply() rebuilds the same way, and the parent set it replaced stays
+  // intact for anyone still holding it.
+  ASSERT_TRUE(session.apply({SetArrivalDelta{chain0, "periodic(1234)"}}).is_ok());
+  EXPECT_NE(session.arrival_tables()[0], parent[0]);
+  for (std::size_t c = 1; c < parent.size(); ++c) {
+    EXPECT_EQ(session.arrival_tables()[c], parent[c]) << c;
+  }
+  EXPECT_EQ(parent[0]->model().describe(), case_study().chain(0).arrival().describe());
+}
+
+TEST(Session, BudgetedPathSubPipelinesShareTheSessionTables) {
+  const System sys = io::parse_system(
+      "system linked\n"
+      "chain c1 kind=sync activation=periodic(300) deadline=300\n"
+      "  task a1 prio=4 wcet=40\n"
+      "  task a2 prio=3 wcet=30\n"
+      "chain c2 kind=sync activation=periodic(300) deadline=300\n"
+      "  task b1 prio=2 wcet=50\n"
+      "  task b2 prio=1 wcet=60\n");
+  ArtifactStore store;
+  Session session(sys, {}, store);
+  PathDmmQuery query;
+  query.chains = {"c1", "c2"};
+  query.deadline = 200;
+  query.budgets = {80, 120};
+  query.ks = {5};
+  const QueryResult result = session.query(query);
+  ASSERT_TRUE(result.ok()) << result.status.to_string();
+
+  // Each budgeted sub-pipeline analyzed its chain under the budget as
+  // deadline, which re-keys that chain's context, over the same tables.
+  for (int c = 0; c < 2; ++c) {
+    const System budgeted = sys.with_deadline(c, query.budgets[static_cast<std::size_t>(c)]);
+    const auto context = stored_context(store, budgeted, c);
+    ASSERT_TRUE(context);
+    expect_references(*context, session.arrival_tables(), "budgeted chain " + std::to_string(c));
+  }
 }
 
 }  // namespace
