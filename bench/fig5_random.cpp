@@ -1,9 +1,9 @@
 // Reproduces Figure 5 of the paper (Experiment 2): histograms of
 // dmm_c(10) and dmm_d(10) over 1000 random priority assignments of the
 // case study, with the paper's headline statistics, then benchmarks the
-// per-assignment analysis — all through the wharf::Engine batch API
-// (one AnalysisRequest per sampled system, evaluated on the worker
-// pool; reports are bit-identical for any --jobs value).
+// per-assignment analysis — all through wharf::Engine::run (one
+// AnalysisRequest per sampled system, its two dmm queries evaluated on
+// the worker pool; reports are bit-identical for any jobs value).
 //
 // Environment:
 //   WHARF_FIG5_SAMPLES  (default 1000)   assignments per repetition
@@ -64,9 +64,8 @@ Count dmm_of(const AnalysisReport& report, std::size_t query) {
 
 Fig5Stats run_experiment(Engine& engine, const System& base, int samples, std::uint64_t seed) {
   Fig5Stats stats;
-  const std::vector<AnalysisReport> reports =
-      engine.run_batch(make_workload(base, samples, seed));
-  for (const AnalysisReport& report : reports) {
+  for (const AnalysisRequest& request : make_workload(base, samples, seed)) {
+    const AnalysisReport report = engine.run(request);
     const Count dmm_c = dmm_of(report, 0);
     const Count dmm_d = dmm_of(report, 1);
     ++stats.histogram_c[dmm_c];

@@ -17,6 +17,7 @@
 #include "io/tables.hpp"
 #include "util/stopwatch.hpp"
 #include "util/strings.hpp"
+#include "util/worker_pool.hpp"
 
 namespace {
 
@@ -65,16 +66,21 @@ void print_tables() {
 }
 
 void BM_EngineBatchJobs(benchmark::State& state) {
-  // End-to-end batch throughput: 32 distinct random systems, full
-  // latency+dmm standard requests, under a varying jobs knob.
+  // End-to-end throughput: 32 distinct random systems, full latency+dmm
+  // standard requests, run concurrently on `jobs` threads (Engine::run
+  // is thread-safe), each request fanning its queries over `jobs` too.
   std::vector<AnalysisRequest> requests;
   for (int i = 0; i < 32; ++i) {
     requests.push_back(
         AnalysisRequest::standard(sized_system(4, 4, 1, 200 + static_cast<std::uint64_t>(i))));
   }
   for (auto _ : state) {
-    Engine engine{EngineOptions{static_cast<int>(state.range(0)), EngineOptions{}.cache_bytes}};
-    benchmark::DoNotOptimize(engine.run_batch(requests));
+    const int jobs = static_cast<int>(state.range(0));
+    Engine engine{EngineOptions{jobs, EngineOptions{}.cache_bytes}};
+    std::vector<AnalysisReport> reports(requests.size());
+    util::parallel_for_index(requests.size(), jobs,
+                             [&](std::size_t i) { reports[i] = engine.run(requests[i]); });
+    benchmark::DoNotOptimize(reports);
   }
 }
 BENCHMARK(BM_EngineBatchJobs)->Arg(1)->Arg(2)->Arg(0)->Unit(benchmark::kMillisecond);

@@ -68,8 +68,8 @@ void print_tables() {
                "(tightness of Theorem 2 on this system).\n\n";
 
   // Random systems: count soundness violations (must be zero).  One
-  // batched engine run over all sampled systems, three cross-validated
-  // simulation windows each.
+  // engine run per sampled system, three cross-validated simulation
+  // windows each (the three run on the worker pool).
   gen::RandomSystemSpec spec;
   spec.utilization = 0.6;
   spec.overload_gap = 20'000;
@@ -94,11 +94,11 @@ void print_tables() {
   }
 #pragma GCC diagnostic pop
   Engine sweep_engine{EngineOptions{0, EngineOptions{}.cache_bytes}};  // all hardware threads
-  const std::vector<AnalysisReport> reports = sweep_engine.run_batch(sweep);
 
   int checks = 0;
   int violations = 0;
-  for (const AnalysisReport& r : reports) {
+  for (const AnalysisRequest& request : sweep) {
+    const AnalysisReport r = sweep_engine.run(request);
     for (const QueryResult& q : r.results) {
       const auto& answer = std::get<SimulationAnswer>(q.answer);
       ++checks;
@@ -109,7 +109,7 @@ void print_tables() {
     }
   }
   io::TextTable rnd({"metric", "value"});
-  rnd.add_row({"random systems simulated", util::cat(reports.size())});
+  rnd.add_row({"random systems simulated", util::cat(sweep.size())});
   rnd.add_row({"cross-validated sim runs", util::cat(checks)});
   rnd.add_row({"soundness violations", util::cat(violations)});
   std::cout << "=== Random-system soundness sweep ===\n" << rnd.render() << '\n';

@@ -4,9 +4,9 @@
 // with the best weakly-hard guarantee (an extension the paper motivates:
 // "the impact of priority assignments on ... deadline miss models").
 //
-// The whole exploration is one wharf::Engine batch: one request per
-// sampled assignment plus one PrioritySearchQuery, evaluated on the
-// worker pool.
+// The whole exploration runs through wharf::Engine::run: one request per
+// sampled assignment plus one PrioritySearchQuery, whose candidates are
+// scored on the worker pool.
 //
 //   $ ./random_design_space [samples] [seed]
 
@@ -48,7 +48,9 @@ int main(int argc, char** argv) {
   requests.push_back(AnalysisRequest{base, {}, {climb}});
 
   Engine engine{EngineOptions{0, EngineOptions{}.cache_bytes}};  // 0 = all hardware threads
-  const std::vector<AnalysisReport> reports = engine.run_batch(requests);
+  std::vector<AnalysisReport> reports;
+  reports.reserve(requests.size());
+  for (const AnalysisRequest& request : requests) reports.push_back(engine.run(request));
 
   const auto dmm_of = [](const AnalysisReport& report, std::size_t query) {
     return std::get<DmmAnswer>(report.results[query].answer).curve.front().dmm;

@@ -160,7 +160,7 @@ DmmResult dmm_from_artifacts(const System& system, int target, const LatencyResu
     packing.item_resources.push_back(std::move(resources));
   }
 
-  const ilp::PackingSolution packed = solver ? solver(packing) : ilp::solve_packing_ilp(packing);
+  const ilp::PackingSolution packed = solver ? solver(packing) : ilp::solve_packing(packing);
   result.packing_optimum = packed.total;
   result.solver_nodes = packed.nodes;
 

@@ -91,10 +91,10 @@ struct DmmResult {
 // remains the convenient per-system façade over the same functions.
 
 /// Injectable solver for the Theorem-3 packing step.  The default (an
-/// empty function) is ilp::solve_packing_ilp; the Engine injects a
-/// solver that caches solutions by problem content and splits
-/// independent subproblems across its worker pool, and the test oracles
-/// inject an exhaustive DFS cross-check.
+/// empty function) is ilp::solve_packing; the Engine injects a solver
+/// that caches ilp::solve_packing's solutions by problem content, so
+/// TwcaAnalyzer and the Engine report the same DmmResult field for
+/// field.  The test oracles inject an exhaustive DFS cross-check.
 using PackingSolver = std::function<ilp::PackingSolution(const ilp::PackingProblem&)>;
 
 /// The k-independent artifacts of Theorem 3 for one target chain: the
@@ -123,7 +123,7 @@ struct TargetArtifacts {
 /// problem over `artifacts.unschedulable`, and the final dmm(k) bound.
 /// `latency` and `artifacts` must describe `target` (the outputs of the
 /// upstream stages); `solver` intercepts the packing solve (empty =
-/// built-in exact solvers).
+/// ilp::solve_packing).
 [[nodiscard]] DmmResult dmm_from_artifacts(const System& system, int target,
                                            const LatencyResult& latency,
                                            const TargetArtifacts& artifacts, Count k,

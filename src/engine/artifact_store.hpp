@@ -18,17 +18,18 @@
 /// across all stages — until the budget holds.
 ///
 /// Epochs keep per-request diagnostics meaningful under parallelism:
-/// the engine begins an epoch per run()/run_batch() call, and a lookup
-/// classifies as a *hit* only when the artifact was resident before the
-/// current epoch.  Artifacts inserted by a concurrent request of the
-/// same batch are shared once resident but count as misses for everyone
-/// in that batch.  Request *answers* are bit-identical for any jobs
-/// value; batch cache telemetry is demand-driven and may vary with
+/// every session revision (Engine::run's ephemeral session, each
+/// Session::apply(), each speculate() candidate) begins its own epoch,
+/// and a lookup classifies as a *hit* only when the artifact was
+/// resident before that revision began.  An artifact another session
+/// inserts while this revision runs is shared once resident but counts
+/// as a miss here.  Answers are bit-identical for any jobs value; how
+/// concurrent sessions split misses and shared joins depends on
 /// scheduling.
 ///
 /// Cross-request single-flight: resolve() keeps an in-flight table keyed
-/// by (stage, key), so when several callers — worker threads of one batch,
-/// sibling requests, concurrent search candidates of one neighborhood —
+/// by (stage, key), so when several callers — concurrent `wharf serve`
+/// connections, concurrent search candidates of one neighborhood —
 /// need the same absent artifact at once, exactly one computes it and
 /// the others wait and share the result instead of racing (equal keys
 /// provably yield equal values, so sharing is transparent).
@@ -88,7 +89,8 @@ class ArtifactStore {
   /// charged); 0 means unlimited.
   explicit ArtifactStore(std::size_t byte_budget = kDefaultByteBudget);
 
-  /// Starts a new epoch (request/batch boundary) and returns its id.
+  /// Starts a new epoch (a session revision's boundary) and returns its
+  /// id.
   std::uint64_t begin_epoch() WHARF_EXCLUDES(mutex_);
 
   /// A lookup() result: the artifact plus its insertion epoch.

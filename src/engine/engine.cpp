@@ -12,7 +12,6 @@
 #include "util/mutex.hpp"
 #include "util/strings.hpp"
 #include "util/thread_annotations.hpp"
-#include "util/worker_pool.hpp"
 
 namespace wharf {
 
@@ -182,44 +181,6 @@ AnalysisReport Engine::run(const AnalysisRequest& request) {
   // One-shot adapter: an ephemeral session serves the whole request.
   Session session(request.system, request.options, impl_->store, impl_->options.jobs);
   return session.serve(request.queries);
-}
-
-std::vector<AnalysisReport> Engine::run_batch(const std::vector<AnalysisRequest>& requests) {
-  std::vector<AnalysisReport> reports(requests.size());
-
-  // One epoch for the whole batch: per-request hit/miss classification
-  // is relative to the store state at batch start, which makes the
-  // diagnostics independent of worker scheduling (artifacts produced by
-  // sibling requests are shared but count as misses everywhere).
-  const std::uint64_t epoch = impl_->store.begin_epoch();
-
-  struct TaskRef {
-    std::size_t request = 0;
-    std::size_t query = 0;
-  };
-  std::vector<TaskRef> tasks;
-  std::vector<Session> sessions;
-  std::vector<std::vector<QueryResult>> results(requests.size());
-  sessions.reserve(requests.size());
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    sessions.emplace_back(requests[i].system, requests[i].options, impl_->store,
-                          impl_->options.jobs, epoch);
-    results[i].resize(requests[i].queries.size());
-    for (std::size_t q = 0; q < requests[i].queries.size(); ++q) tasks.push_back({i, q});
-  }
-
-  // Every query is independent and writes its own preallocated slot —
-  // results are identical for any jobs value.
-  util::parallel_for_index(tasks.size(), impl_->options.jobs, [&](std::size_t t) {
-    const TaskRef& ref = tasks[t];
-    results[ref.request][ref.query] =
-        sessions[ref.request].execute(requests[ref.request].queries[ref.query], tasks.size());
-  });
-
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    reports[i] = sessions[i].collect(std::move(results[i]));
-  }
-  return reports;
 }
 
 ArtifactStore::Stats Engine::store_stats() const { return impl_->store.stats(); }

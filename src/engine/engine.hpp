@@ -6,15 +6,13 @@
 /// An AnalysisRequest bundles a System with a set of queries; the Engine
 /// answers them in an AnalysisReport with one structured, Status-carrying
 /// result per query — malformed queries never throw across this
-/// boundary, so batch drivers and servers need no exception handling.
+/// boundary, so sweep drivers and servers need no exception handling.
 ///
 /// Scaling levers (the reason this facade exists):
-///  * batching  — run_batch() answers many requests in one call;
-///  * parallelism — independent queries (chains x k-grids x systems) are
-///    evaluated on a worker pool (EngineOptions::jobs), with results
-///    bit-identical to sequential execution; one target's combination-
-///    packing ILP is additionally split across the pool over its
-///    independent subproblems;
+///  * parallelism — the independent queries of one request are evaluated
+///    on a worker pool (EngineOptions::jobs), with results bit-identical
+///    to sequential execution; run() is thread-safe, so a caller with
+///    many requests runs them on its own threads;
 ///  * caching — every pipeline stage (interference contexts, busy
 ///    windows, overload artifacts, dmm(k) curves, packing-ILP
 ///    solutions) is cached separately in a shared ArtifactStore, keyed
@@ -239,9 +237,9 @@ struct ReportDiagnostics {
   bool cache_hit = false;
   /// Real store lookups this request performed, summed over stages (one
   /// lookup per distinct artifact needed).  A lookup counts as a hit
-  /// only when the artifact was resident before this request's epoch
-  /// (see artifact_store.hpp); hits are deterministic for any jobs
-  /// value, and so is misses + shared (see pipeline.hpp).
+  /// only when the artifact was resident before the serving session
+  /// revision began (see artifact_store.hpp); hits do not depend on the
+  /// jobs value, and neither does misses + shared (see pipeline.hpp).
   std::size_t cache_hits = 0;
   std::size_t cache_misses = 0;
   /// Lookups that joined another request's in-flight computation
@@ -293,7 +291,8 @@ struct AnalysisReport {
 
 /// Construction-time knobs of an Engine (immutable afterwards).
 struct EngineOptions {
-  /// Worker threads for query evaluation and the intra-ILP split;
+  /// Worker threads across the queries of one request (and across the
+  /// candidates of a priority search that is the request's only query);
   /// 1 = sequential, 0 = all hardware threads.
   int jobs = 1;
   /// Artifact-store weight budget in bytes (admission and LRU eviction
@@ -314,7 +313,7 @@ struct EngineOptions {
   long long persist_interval_ms = 0;
 };
 
-/// The facade.  Thread-safe: run()/run_batch()/open_session() and the
+/// The facade.  Thread-safe: run()/open_session() and the
 /// stats accessors may be called from concurrent threads — `wharf
 /// serve` opens one session per client connection against a single
 /// shared Engine, and identical concurrent lookups coalesce through the
@@ -345,15 +344,6 @@ class Engine {
   /// surface and the session surface provably share one execution path
   /// (bit-identical results for any jobs/cache_bytes).
   [[nodiscard]] AnalysisReport run(const AnalysisRequest& request);
-
-  /// Answers many requests, evaluating all queries of all requests on
-  /// the worker pool.  reports[i] answers requests[i]; every report's
-  /// *answers* are bit-identical to what sequential execution produces.
-  /// Cache telemetry (ReportDiagnostics stage counters) is demand-driven
-  /// and may differ with scheduling when sibling requests of one batch
-  /// race on shared artifacts; within run() it is deterministic.
-  [[nodiscard]] std::vector<AnalysisReport> run_batch(
-      const std::vector<AnalysisRequest>& requests);
 
   /// Full per-stage store statistics (insertions, evictions, admission
   /// rejections, single-flight joins, residency).  Thread-safe.

@@ -44,7 +44,6 @@ ArtifactKey packing_key(const ilp::PackingProblem& problem) {
 struct Pipeline::Shared {
   ArtifactStore* store = nullptr;
   std::uint64_t epoch = 0;
-  int jobs = 1;
   util::Mutex diag_mutex;
   StageCounters diag WHARF_GUARDED_BY(diag_mutex) = {};
 };
@@ -192,7 +191,7 @@ std::shared_ptr<const T> Pipeline::State::acquire(ArtifactStage stage, const Art
 // ---------------------------------------------------------------------
 
 Pipeline::Pipeline(const System& system, const TwcaOptions& options, ArtifactStore& store,
-                   std::uint64_t epoch, int jobs, std::shared_ptr<const ModelDigests> digests,
+                   std::uint64_t epoch, std::shared_ptr<const ModelDigests> digests,
                    std::shared_ptr<const ArrivalTables> tables)
     : state_(std::make_unique<State>()) {
   state_->system = &system;
@@ -202,7 +201,6 @@ Pipeline::Pipeline(const System& system, const TwcaOptions& options, ArtifactSto
   state_->shared = std::make_shared<Shared>();
   state_->shared->store = &store;
   state_->shared->epoch = epoch;
-  state_->shared->jobs = jobs;
 }
 
 Pipeline::Pipeline(std::shared_ptr<const System> owned, const TwcaOptions& options,
@@ -274,7 +272,7 @@ DmmResult Pipeline::dmm(int target, Count k) {
         const PackingSolver solver = [this](const ilp::PackingProblem& problem) {
           return *state_->acquire<ilp::PackingSolution>(
               ArtifactStage::kIlp, packing_key(problem),
-              [&] { return ilp::solve_packing_split(problem, state_->shared->jobs); });
+              [&] { return ilp::solve_packing(problem); });
         };
         return dmm_from_artifacts(system(), target, *full, *artifacts, k, state_->options,
                                   solver);

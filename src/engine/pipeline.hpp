@@ -3,18 +3,19 @@
 /// between the core stage-boundary functions (core/twca.hpp,
 /// core/path_analysis.hpp) and the shared ArtifactStore.
 ///
-/// A Pipeline is created per served request.  Every stage accessor
-/// resolves its artifact in three steps: a request-local memo (so one
-/// request never looks the same key up twice, and concurrent queries of
-/// one request wait instead of duplicating work), then the shared store
-/// via its single-flight resolve() (keyed by the stage's model slice;
-/// concurrent *requests* — batch siblings, search candidates — needing
-/// the same absent artifact share one computation), then the core
-/// computation — whose upstream inputs go through the same resolution
-/// recursively.  Stage keys are 128-bit digests built from the session's
-/// per-model digest table (core/model_slice.hpp).  The packing-ILP solve
-/// is intercepted the same way and split across the worker pool
-/// (ilp::solve_packing_split).
+/// A Pipeline is created per session revision (Engine::run's ephemeral
+/// session, each apply(), each speculate() candidate).  Every stage
+/// accessor resolves its artifact in three steps: a request-local memo
+/// (so one request never looks the same key up twice, and concurrent
+/// queries of one request wait instead of duplicating work), then the
+/// shared store via its single-flight resolve() (keyed by the stage's
+/// model slice; concurrent *sessions* — `wharf serve` connections,
+/// search candidates — needing the same absent artifact share one
+/// computation), then the core computation — whose upstream inputs go
+/// through the same resolution recursively.  Stage keys are 128-bit digests built from the session's
+/// per-model digest table (core/model_slice.hpp).  The packing solve is
+/// intercepted the same way (ilp::solve_packing, keyed by problem
+/// content) and runs on the calling thread.
 ///
 /// Path queries run through the same machinery: each per-chain budgeted
 /// dmm spawns a sub-pipeline over System::with_deadline that shares the
@@ -39,18 +40,19 @@ namespace wharf {
 
 /// Store telemetry of one served request, per pipeline stage.  A request
 /// counts one lookup per distinct artifact it resolves, and
-/// lookups == hits + misses + shared.  Hits (artifact resident before
-/// the request's epoch began, see artifact_store.hpp) are deterministic
-/// for any jobs value; so is misses + shared, but the split between the
-/// two is not: a `shared` lookup joined a computation another thread had
-/// in flight (store-level single-flight), which in a sequential run
-/// would have been a plain miss.  Within run() of a request without
-/// concurrent siblings, shared is zero and every counter is exactly
+/// lookups == hits + misses + shared.  A hit is an artifact that was
+/// resident before the serving session revision began (its store epoch,
+/// see artifact_store.hpp), so hits do not depend on the jobs value;
+/// neither does misses + shared, but the split between the two does: a
+/// `shared` lookup joined a computation another request had in flight
+/// (store-level single-flight), which in a sequential run would have
+/// been a plain miss.  A request with no concurrent request
+/// on the store sees shared == 0, and every counter is exactly
 /// reproducible.
 struct StageDiagnostics {
   std::size_t lookups = 0;         ///< distinct artifacts resolved
-  std::size_t hits = 0;            ///< resident before this request's epoch
-  std::size_t misses = 0;          ///< computed here (or inserted this epoch)
+  std::size_t hits = 0;            ///< resident before this revision began
+  std::size_t misses = 0;          ///< computed here (or inserted since it began)
   std::size_t shared = 0;          ///< joined another caller's in-flight compute
   std::size_t bytes_inserted = 0;  ///< weight of artifacts this request computed
 };
@@ -74,14 +76,13 @@ using StageCounters = std::array<StageDiagnostics, kArtifactStageCount>;
 class Pipeline {
  public:
   /// `system` and `store` must outlive the pipeline; `epoch` is the
-  /// request's store epoch; `jobs` sizes the intra-ILP split;
-  /// `digests` is the digest table of `system` (sessions share theirs,
-  /// derived incrementally across priority deltas); `tables` holds one
-  /// flat arrival table per chain of `system`, which every interference
-  /// context the pipeline builds references (sessions share theirs
-  /// across a lineage).
+  /// owning session revision's store epoch; `digests` is the digest
+  /// table of `system` (sessions share theirs, derived incrementally
+  /// across priority deltas); `tables` holds one flat arrival table per
+  /// chain of `system`, which every interference context the pipeline
+  /// builds references (sessions share theirs across a lineage).
   Pipeline(const System& system, const TwcaOptions& options, ArtifactStore& store,
-           std::uint64_t epoch, int jobs, std::shared_ptr<const ModelDigests> digests,
+           std::uint64_t epoch, std::shared_ptr<const ModelDigests> digests,
            std::shared_ptr<const ArrivalTables> tables);
   ~Pipeline();
 
@@ -103,7 +104,7 @@ class Pipeline {
   [[nodiscard]] std::shared_ptr<const TargetArtifacts> overload_artifacts(int target);
 
   /// Stages 4+5: dmm(k) per Theorem 3, with the packing solve cached by
-  /// problem content and split across the worker pool.
+  /// problem content.
   [[nodiscard]] DmmResult dmm(int target, Count k);
   [[nodiscard]] std::vector<DmmResult> dmm_curve(int target, const std::vector<Count>& ks);
 
@@ -116,7 +117,7 @@ class Pipeline {
   [[nodiscard]] StageCounters stage_diagnostics() const;
 
   /// Sub-pipeline over a variant of the system with `target`'s deadline
-  /// replaced (owned copy), sharing store, epoch, jobs, diagnostics and
+  /// replaced (owned copy), sharing store, epoch, diagnostics and
   /// arrival tables with this pipeline.  Path dmm queries use it for
   /// per-chain budgets.
   /// Memoized per (target, deadline) for the pipeline's lifetime, so a

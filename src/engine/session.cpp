@@ -203,9 +203,8 @@ QueryResult run_search(ArtifactStore& store, int jobs, std::size_t concurrent_ta
     const search::EvaluationSpec spec{query.k, {}};
     // The session already spreads the serving call's query tasks over
     // the worker pool; give the evaluator the pool width only when this
-    // search has the pool to itself, so neither a multi-query request
-    // nor a batch of single-query requests can fan out jobs^2 threads
-    // (parallel_for_index spawns per call).
+    // search has the pool to itself, so a multi-query request cannot
+    // fan out jobs^2 threads (parallel_for_index spawns per call).
     const int evaluator_jobs = concurrent_tasks > 1 ? 1 : jobs;
     search::PipelineEvaluator evaluator(system, spec, options, store, evaluator_jobs);
     SearchAnswer a;
@@ -414,7 +413,7 @@ struct Session::Impl {
 
   void reset_pipeline() {
     pipeline =
-        std::make_unique<Pipeline>(*model, options, *store, epoch, jobs, digests, tables);
+        std::make_unique<Pipeline>(*model, options, *store, epoch, digests, tables);
   }
 
   [[nodiscard]] StageCounters lifetime_stages() const {
@@ -432,14 +431,10 @@ bool any_structural(const std::vector<Delta>& deltas) {
 }  // namespace
 
 Session::Session(System system, TwcaOptions options, ArtifactStore& store, int jobs)
-    : Session(std::move(system), options, store, jobs, store.begin_epoch()) {}
+    : Session(std::move(system), options, store, jobs, nullptr, nullptr) {}
 
 Session::Session(System system, TwcaOptions options, ArtifactStore& store, int jobs,
-                 std::uint64_t epoch)
-    : Session(std::move(system), options, store, jobs, epoch, nullptr, nullptr) {}
-
-Session::Session(System system, TwcaOptions options, ArtifactStore& store, int jobs,
-                 std::uint64_t epoch, std::shared_ptr<const ModelDigests> digests,
+                 std::shared_ptr<const ModelDigests> digests,
                  std::shared_ptr<const ArrivalTables> tables)
     : impl_(std::make_unique<Impl>()) {
   impl_->store = &store;
@@ -451,7 +446,7 @@ Session::Session(System system, TwcaOptions options, ArtifactStore& store, int j
   impl_->tables = tables != nullptr
                       ? std::move(tables)
                       : std::make_shared<const ArrivalTables>(build_arrival_tables(*impl_->model));
-  impl_->epoch = epoch;
+  impl_->epoch = store.begin_epoch();
   impl_->reset_pipeline();
 }
 
@@ -510,8 +505,7 @@ Session Session::speculate(const std::vector<Delta>& deltas, int jobs) const {
   auto tables =
       std::make_shared<const ArrivalTables>(build_arrival_tables(mutated.value(), *impl_->tables));
   return Session(std::move(mutated).value(), impl_->options, *impl_->store,
-                 jobs < 0 ? impl_->jobs : jobs, impl_->store->begin_epoch(), nullptr,
-                 std::move(tables));
+                 jobs < 0 ? impl_->jobs : jobs, nullptr, std::move(tables));
 }
 
 Session Session::speculate(const std::vector<Priority>& priorities, int jobs) const {
@@ -522,8 +516,7 @@ Session Session::derive(System candidate, int jobs) const {
   auto digests = std::make_shared<const ModelDigests>(
       impl_->digests->derive_priorities(*impl_->model, candidate));
   return Session(std::move(candidate), impl_->options, *impl_->store,
-                 jobs < 0 ? impl_->jobs : jobs, impl_->store->begin_epoch(), std::move(digests),
-                 impl_->tables);
+                 jobs < 0 ? impl_->jobs : jobs, std::move(digests), impl_->tables);
 }
 
 QueryResult Session::execute(const Query& query, std::size_t concurrent_tasks) {

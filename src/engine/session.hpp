@@ -34,10 +34,11 @@
 ///    neighborhoods in parallel and how the concurrent server isolates
 ///    clients.
 ///
-/// The epoch/key plumbing: each applied batch advances the shared
-/// store's epoch, so artifacts computed before the delta classify as
-/// *hits* afterwards and the per-stage counters read as "what this
-/// revision reused vs. re-solved".  Each session holds an immutable
+/// The epoch/key plumbing: each session revision owns a store epoch —
+/// opening a session, each applied batch and each speculate() child
+/// begin one — and a lookup is a *hit* when the artifact was resident
+/// before this revision began, so the per-stage counters read as "what
+/// this revision reused vs. re-solved".  Each session holds an immutable
 /// per-model digest table (ModelDigests, core/model_slice.hpp) its stage
 /// keys are built from.  A priority-only apply() or speculate() derives
 /// the new table from the current one, recomputing only the digests the
@@ -156,15 +157,10 @@ struct SessionStats {
 class Session {
  public:
   /// Opens a session on `store` (which must outlive it).  Begins a fresh
-  /// store epoch.  `jobs` sizes serve() parallelism and intra-ILP work
-  /// stealing (1 = sequential, 0 = all hardware threads).
+  /// store epoch.  `jobs` sizes serve() parallelism across queries and
+  /// candidate scoring (a lone priority-search query,
+  /// evaluate_candidates()); 1 = sequential, 0 = all hardware threads.
   Session(System system, TwcaOptions options, ArtifactStore& store, int jobs = 1);
-
-  /// Batch-driver variant (Engine::run_batch): adopts an already-begun
-  /// store epoch so sibling sessions of one batch classify hits against
-  /// a common baseline.
-  Session(System system, TwcaOptions options, ArtifactStore& store, int jobs,
-          std::uint64_t epoch);
 
   ~Session();
   Session(Session&&) noexcept;
@@ -209,12 +205,12 @@ class Session {
   /// AnalysisReport whose diagnostics cover exactly this call.
   [[nodiscard]] AnalysisReport serve(const std::vector<Query>& queries);
 
-  /// Building blocks for batch drivers (Engine::run_batch flattens the
-  /// queries of many sessions onto one pool): execute() answers one
-  /// query (`concurrent_tasks` = how many query tasks the caller runs
-  /// concurrently overall), collect() bundles previously produced
-  /// results with the store telemetry accumulated since the last
-  /// collect()/construction.
+  /// The two halves of serve(), for callers that drive queries one at a
+  /// time: execute() answers one query (`concurrent_tasks` = how many
+  /// query tasks the caller runs concurrently overall; a search query
+  /// fans out over `jobs` only when it is alone), collect() bundles
+  /// previously produced results with the store telemetry accumulated
+  /// since the last collect()/construction.
   [[nodiscard]] QueryResult execute(const Query& query, std::size_t concurrent_tasks);
   [[nodiscard]] AnalysisReport collect(std::vector<QueryResult> results);
 
@@ -254,11 +250,11 @@ class Session {
   [[nodiscard]] const ArrivalTables& arrival_tables() const;
 
  private:
-  /// Delegation target of every constructor (and speculate()): a null
-  /// `digests` means a table built from `system`, null `tables` a set
-  /// built from it.
+  /// Delegation target of the public constructor and speculate(): begins
+  /// a store epoch; a null `digests` means a table built from `system`,
+  /// null `tables` a set built from it.
   Session(System system, TwcaOptions options, ArtifactStore& store, int jobs,
-          std::uint64_t epoch, std::shared_ptr<const ModelDigests> digests,
+          std::shared_ptr<const ModelDigests> digests,
           std::shared_ptr<const ArrivalTables> tables);
 
   /// The priority-only child over `candidate` (this model with other

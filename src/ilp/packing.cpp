@@ -7,7 +7,6 @@
 
 #include "ilp/branch_and_bound.hpp"
 #include "util/expect.hpp"
-#include "util/worker_pool.hpp"
 
 namespace wharf::ilp {
 
@@ -131,25 +130,16 @@ PackingPartition partition_packing(const PackingProblem& problem) {
   return partition;
 }
 
-PackingSolution solve_packing_split(const PackingProblem& problem, int jobs) {
+PackingSolution solve_packing(const PackingProblem& problem) {
   const PackingPartition partition = partition_packing(problem);
   PackingSolution out;
   out.counts.assign(problem.item_resources.size(), 0);
-  if (partition.subproblems.empty()) return out;
-
-  // Every subproblem writes its own preallocated slot; the worker count
-  // only changes the schedule, so the assembled solution is identical
-  // for any jobs value.
-  std::vector<PackingSolution> solved(partition.subproblems.size());
-  util::parallel_for_index(partition.subproblems.size(), jobs, [&](std::size_t s) {
-    solved[s] = solve_packing_ilp(partition.subproblems[s]);
-  });
-
   for (std::size_t s = 0; s < partition.subproblems.size(); ++s) {
-    out.total += solved[s].total;
-    out.nodes += solved[s].nodes;
+    const PackingSolution solved = solve_packing_ilp(partition.subproblems[s]);
+    out.total += solved.total;
+    out.nodes += solved.nodes;
     for (std::size_t j = 0; j < partition.item_map[s].size(); ++j) {
-      out.counts[partition.item_map[s][j]] = solved[s].counts[j];
+      out.counts[partition.item_map[s][j]] = solved.counts[j];
     }
   }
   return out;

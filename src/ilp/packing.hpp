@@ -7,12 +7,13 @@
 /// to maximize the total number of packed copies — i.e. the number of
 /// busy windows that can be made unschedulable.
 ///
-/// Theorem 3 needs one exact optimum, so there is one exact solver: the
-/// ILP of `branch_and_bound.hpp` (mirroring the paper's use of an ILP
-/// solver), optionally split over independent subproblems.  An
-/// independent depth-first enumeration cross-checks it from the test
-/// oracles (oracles/packing_reference.hpp); it is not part of the
-/// library.
+/// Theorem 3 needs one exact optimum, so there is one exact packing path:
+/// solve_packing() splits the problem into independent subproblems and
+/// solves each with the ILP of `branch_and_bound.hpp` (mirroring the
+/// paper's use of an ILP solver), one after another on the calling
+/// thread.  An independent depth-first enumeration cross-checks the ILP
+/// from the test oracles (oracles/packing_reference.hpp); it is not part
+/// of the library.
 
 #ifndef WHARF_ILP_PACKING_HPP
 #define WHARF_ILP_PACKING_HPP
@@ -44,7 +45,7 @@ struct PackingSolution {
   long long nodes = 0;
 };
 
-/// Exact solver via the branch-and-bound ILP.
+/// Exact solver of one (sub)problem via the branch-and-bound ILP.
 [[nodiscard]] PackingSolution solve_packing_ilp(const PackingProblem& problem);
 
 /// An exact decomposition of a packing problem into independent
@@ -53,8 +54,8 @@ struct PackingSolution {
 /// the sum of the subproblem optima.  In the TWCA instance, items are
 /// unschedulable combinations and resources are (overload chain, active
 /// segment) pairs — combinations touching disjoint chain/segment sets
-/// decompose, which is what makes one target's packing solve splittable
-/// across a worker pool.
+/// decompose, so one target's packing solve runs several small ILPs
+/// instead of one large one.
 struct PackingPartition {
   /// Subproblems in deterministic order (by smallest original item
   /// index), each with resources renumbered densely.
@@ -66,13 +67,12 @@ struct PackingPartition {
 /// Partitions a problem into independent subproblems (validates first).
 [[nodiscard]] PackingPartition partition_packing(const PackingProblem& problem);
 
-/// Exact solve via decomposition: partitions the problem and solves the
-/// independent subproblems with solve_packing_ilp on `jobs` workers
-/// (util::parallel_for_index; a free worker takes the next subproblem,
-/// which balances skewed sizes).  The result — total, per-item counts,
-/// summed node count — is bit-identical for every jobs value,
-/// including 1.
-[[nodiscard]] PackingSolution solve_packing_split(const PackingProblem& problem, int jobs);
+/// The exact packing optimum of Theorem 3: partitions the problem and
+/// solves the independent subproblems with solve_packing_ilp in
+/// partition order on the calling thread.  `total` and `nodes` are the
+/// sums over the subproblems; `counts` maps each subproblem's counts
+/// back to the original item indices.
+[[nodiscard]] PackingSolution solve_packing(const PackingProblem& problem);
 
 /// Validates a packing problem (non-negative capacities, resource indices
 /// in range, no duplicate resource within an item); throws

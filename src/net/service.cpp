@@ -158,9 +158,9 @@ std::string handle_diagnostics(Conversation& conversation, const io::WireRequest
     w.value(static_cast<long long>(store.resident_bytes));
     w.key("evictions");
     w.value(static_cast<long long>(store.evictions));
-    // Engine-lifetime single-flight joins from any source — batch
-    // workers, sibling sessions, other connections (each session's own
-    // share is the "shared" counter of its stats above).
+    // Engine-lifetime single-flight joins from any source — sibling
+    // sessions, search candidates, other connections (each session's
+    // own share is the "shared" counter of its stats above).
     w.key("shared_flights");
     w.value(static_cast<long long>(shared_flights));
     // Startup snapshot-load outcome (both zero without --store-dir or

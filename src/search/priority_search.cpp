@@ -188,14 +188,14 @@ PipelineEvaluator::~PipelineEvaluator() = default;
 
 const System& PipelineEvaluator::base() const { return base_; }
 
-Objective PipelineEvaluator::score(const std::vector<Priority>& priorities, int ilp_jobs) {
+Objective PipelineEvaluator::evaluate(const std::vector<Priority>& priorities) {
   // Candidate = priority vector.  speculate() opens the candidate's own
   // store epoch — artifacts resolved by *earlier* candidates (or earlier
   // engine requests) classify as hits, which is what makes neighborhood
   // reuse observable in stats() — derives the candidate's digest table
   // from the anchor's, recomputing only the digests of the moved chains,
   // and shares the anchor's arrival tables.
-  Session candidate = anchor_->speculate(priorities, ilp_jobs);
+  Session candidate = anchor_->speculate(priorities);
 
   Objective obj;
   for (const int c : targets_) {
@@ -232,19 +232,15 @@ void PipelineEvaluator::move_anchor(const std::vector<Priority>& priorities) {
   stats_.slices.misses += derived.misses;
 }
 
-Objective PipelineEvaluator::evaluate(const std::vector<Priority>& priorities) {
-  return score(priorities, jobs_);
-}
-
 std::vector<Objective> PipelineEvaluator::evaluate_many(
     const std::vector<std::vector<Priority>>& candidates) {
   if (!candidates.empty()) move_anchor(batch_centre(candidates));
   std::vector<Objective> scores(candidates.size());
-  // Parallelism across candidates, not inside one candidate's ILP: each
-  // index writes its own slot and a candidate's objective is a pure
-  // function of its priorities, so scores are identical for any jobs.
+  // Each index writes its own slot and a candidate's objective is a
+  // pure function of its priorities, so scores are identical for any
+  // jobs.
   util::parallel_for_index(candidates.size(), jobs_, [&](std::size_t i) {
-    scores[i] = score(candidates[i], /*ilp_jobs=*/1);
+    scores[i] = evaluate(candidates[i]);
   });
   return scores;
 }

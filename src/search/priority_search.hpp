@@ -143,8 +143,8 @@ class PipelineEvaluator final : public Evaluator {
 
   /// The base system (see Evaluator::base).
   [[nodiscard]] const System& base() const override;
-  /// Scores one candidate as a speculated priority vector; the ILP of
-  /// each target splits across `jobs`.
+  /// Scores one candidate as a speculated priority vector, on the
+  /// calling thread.
   [[nodiscard]] Objective evaluate(const std::vector<Priority>& priorities) override;
   /// Moves the anchor to the batch's centre, then scores every candidate
   /// on the worker pool (bit-identical to evaluate() in turn).
@@ -157,7 +157,6 @@ class PipelineEvaluator final : public Evaluator {
   [[nodiscard]] const ArtifactStore& store() const { return *store_; }
 
  private:
-  [[nodiscard]] Objective score(const std::vector<Priority>& priorities, int ilp_jobs);
   /// Re-anchors candidate derivation at `priorities` when it is a valid
   /// assignment (a permutation of the base priorities); else a no-op.
   void move_anchor(const std::vector<Priority>& priorities);

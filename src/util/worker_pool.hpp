@@ -1,7 +1,9 @@
 /// \file worker_pool.hpp
 /// A small fork-join worker pool for embarrassingly parallel index
-/// ranges.  The Engine uses it to evaluate independent queries
-/// (chains x k-grids x systems) concurrently under a --jobs knob.
+/// ranges.  The library starts parallel work in two places only, both
+/// under a --jobs knob: Session::serve across the queries of one call,
+/// and PipelineEvaluator::evaluate_many across the candidates of one
+/// batch.
 ///
 /// Determinism contract: parallel_for_index(n, body) invokes body(i)
 /// exactly once for every i in [0, n); bodies write to disjoint,

@@ -20,6 +20,7 @@
 #include "gen/random_systems.hpp"
 #include "io/system_format.hpp"
 #include "oracles/busy_window_reference.hpp"
+#include "util/worker_pool.hpp"
 
 namespace wharf {
 namespace {
@@ -151,7 +152,11 @@ TEST(ArrivalTable, ReportsBitIdenticalAcrossJobsAndTinyCache) {
   std::vector<std::string> baseline;
   for (const int jobs : {1, 4, 16}) {
     Engine engine{EngineOptions{jobs, /*cache_bytes=*/4'096, /*store_dir=*/""}};
-    const std::vector<AnalysisReport> reports = engine.run_batch(requests);
+    // Up to `jobs` requests run concurrently, each fanning its queries
+    // out over the same `jobs`.
+    std::vector<AnalysisReport> reports(requests.size());
+    util::parallel_for_index(requests.size(), jobs,
+                             [&](std::size_t i) { reports[i] = engine.run(requests[i]); });
     ASSERT_EQ(reports.size(), requests.size());
     if (baseline.empty()) {
       for (const AnalysisReport& r : reports) baseline.push_back(results_json(r));

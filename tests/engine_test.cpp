@@ -1,6 +1,6 @@
 // Tests for the wharf::Engine request/response facade: query dispatch,
-// the non-throwing Status channel, batched parallel execution (results
-// must be bit-identical to sequential), path queries, and the staged
+// the non-throwing Status channel, parallel execution (results must be
+// bit-identical to sequential), path queries, and the staged
 // ArtifactStore with its per-stage hit/miss diagnostics — in particular
 // that mutating one chain invalidates only the affected target's
 // artifacts (incremental re-analysis).
@@ -13,13 +13,16 @@
 #include "core/path_analysis.hpp"
 #include "engine/engine.hpp"
 #include "gen/random_systems.hpp"
+#include "io/json.hpp"
 #include "io/system_format.hpp"
 #include "oracles/path_reference.hpp"
+#include "util/worker_pool.hpp"
 
 namespace wharf {
 namespace {
 
 using case_studies::date17_case_study;
+using case_studies::figure1_system;
 using case_studies::kSigmaC;
 using case_studies::kSigmaD;
 using case_studies::OverloadModel;
@@ -214,7 +217,7 @@ TEST(Engine, WeightBudgetBoundsResidencyViaEviction) {
 }
 
 /// The acceptance workload: Fig. 5-style random priority assignments of
-/// the case study, one request per sampled system, run as one batch.
+/// the case study, one request per sampled system.
 std::vector<AnalysisRequest> fig5_workload(int samples, std::uint64_t seed) {
   const System base = case_study();
   std::mt19937_64 rng(seed);
@@ -231,17 +234,28 @@ std::vector<AnalysisRequest> fig5_workload(int samples, std::uint64_t seed) {
   return requests;
 }
 
+/// Answers requests[i] into reports[i] with Engine::run, `threads`
+/// requests at a time.
+std::vector<AnalysisReport> run_concurrently(Engine& engine,
+                                             const std::vector<AnalysisRequest>& requests,
+                                             int threads) {
+  std::vector<AnalysisReport> reports(requests.size());
+  util::parallel_for_index(requests.size(), threads,
+                           [&](std::size_t i) { reports[i] = engine.run(requests[i]); });
+  return reports;
+}
+
 TEST(Engine, BatchParallelReportsBitIdenticalToSequential) {
   const std::vector<AnalysisRequest> requests = fig5_workload(24, 42);
 
   Engine sequential{EngineOptions{1, EngineOptions{}.cache_bytes, ""}};
   Engine parallel{EngineOptions{4, EngineOptions{}.cache_bytes, ""}};
-  const std::vector<AnalysisReport> seq = sequential.run_batch(requests);
-  const std::vector<AnalysisReport> par = parallel.run_batch(requests);
+  const std::vector<AnalysisReport> seq = run_concurrently(sequential, requests, 1);
+  const std::vector<AnalysisReport> par = run_concurrently(parallel, requests, 4);
 
-  // Answers are bit-identical for any jobs value.  (Cache telemetry
-  // inside one parallel batch is demand-driven and may legitimately
-  // differ when sibling requests race on shared artifacts.)
+  // Answers are bit-identical for any jobs value.  (Cache telemetry of
+  // concurrent requests depends on scheduling: which request computes a
+  // shared artifact and which joins or finds it.)
   ASSERT_EQ(seq.size(), par.size());
   for (std::size_t i = 0; i < seq.size(); ++i) {
     EXPECT_EQ(results_json(seq[i]), results_json(par[i])) << "report " << i << " diverged";
@@ -251,11 +265,12 @@ TEST(Engine, BatchParallelReportsBitIdenticalToSequential) {
 TEST(Engine, BatchSharesCacheAcrossIdenticalSystems) {
   Engine engine{EngineOptions{3, EngineOptions{}.cache_bytes, ""}};
   const AnalysisRequest request{case_study(), {}, {DmmQuery{"sigma_c", {10}}}};
-  const std::vector<AnalysisReport> reports = engine.run_batch({request, request, request});
+  const std::vector<AnalysisReport> reports =
+      run_concurrently(engine, {request, request, request}, 3);
   ASSERT_EQ(reports.size(), 3u);
   EXPECT_EQ(results_json(reports[0]), results_json(reports[1]));
   EXPECT_EQ(results_json(reports[1]), results_json(reports[2]));
-  // A later run sees everything the batch inserted.
+  // A later run sees everything the concurrent runs inserted.
   const AnalysisReport warm = engine.run(request);
   EXPECT_TRUE(warm.diagnostics.cache_hit);
   EXPECT_EQ(warm.diagnostics.cache_misses, 0u);
@@ -475,10 +490,10 @@ TEST(Engine, PathQueriesShareArtifactsWithPlainQueries) {
 }
 
 // ---------------------------------------------------------------------------
-// Work-stealing ILP split determinism through the engine
+// Query-parallel determinism through the engine
 // ---------------------------------------------------------------------------
 
-TEST(Engine, ParallelIlpSplitBitIdenticalToSequential) {
+TEST(Engine, ParallelQueriesBitIdenticalToSequential) {
   // Two overload chains give the packing real decomposable structure;
   // the full standard request plus a dense dmm grid exercises the ILP
   // stage repeatedly.
@@ -498,6 +513,76 @@ TEST(Engine, ParallelIlpSplitBitIdenticalToSequential) {
     const AnalysisReport par = parallel.run(request);
     EXPECT_EQ(to_json(seq), to_json(par)) << "sample " << sample;
   }
+}
+
+// ---------------------------------------------------------------------------
+// One packing path: engine and analyzer agree field for field
+// ---------------------------------------------------------------------------
+
+/// The case studies plus seeded random systems with two and three
+/// overload chains (several overload chains give packing problems that
+/// decompose into independent parts).
+std::vector<System> packing_identity_systems() {
+  std::vector<System> systems = {figure1_system(),
+                                 date17_case_study(OverloadModel::kLiteralSporadic),
+                                 date17_case_study(OverloadModel::kRareOverload)};
+  gen::RandomSystemSpec spec;
+  spec.min_chains = 2;
+  spec.max_chains = 4;
+  spec.utilization = 0.8;
+  spec.deadline_factor = 0.8;
+  spec.overload_gap = 4'000;
+  spec.overload_wcet_max = 60;
+  std::mt19937_64 rng(2023);
+  for (int i = 0; i < 24; ++i) {
+    spec.overload_chains = 2 + i % 2;
+    systems.push_back(gen::random_system(spec, rng, "identity" + std::to_string(i)));
+  }
+  return systems;
+}
+
+TEST(Engine, DmmFieldIdenticalToAnalyzer) {
+  const std::vector<Count> ks = {3, 10, 50};
+  std::size_t compared = 0;
+  std::size_t multi_part_problems = 0;
+  for (const System& system : packing_identity_systems()) {
+    Engine engine;
+    const TwcaAnalyzer analyzer{system};
+    for (const int c : system.regular_indices()) {
+      if (!system.chain(c).deadline().has_value()) continue;
+      const std::string& name = system.chain(c).name();
+      const AnalysisReport report = engine.run(AnalysisRequest{system, {}, {DmmQuery{name, ks}}});
+      ASSERT_TRUE(report.results[0].ok()) << report.results[0].status.to_string();
+      const auto& curve = std::get<DmmAnswer>(report.results[0].answer).curve;
+      ASSERT_EQ(curve.size(), ks.size());
+
+      // The stage functions with a solver that counts the independent
+      // parts of each packing problem the analysis solves.
+      const InterferenceContext context = make_interference_context(system, c);
+      const LatencyResult latency = latency_analysis(system, context);
+      const TargetArtifacts artifacts =
+          build_target_artifacts(system, c, context, latency, TwcaOptions{});
+      const PackingSolver counting = [&](const ilp::PackingProblem& problem) {
+        if (ilp::partition_packing(problem).subproblems.size() >= 2) ++multi_part_problems;
+        return ilp::solve_packing(problem);
+      };
+
+      for (std::size_t i = 0; i < ks.size(); ++i) {
+        const std::string expected = io::to_json(analyzer.dmm(c, ks[i]));
+        EXPECT_EQ(io::to_json(curve[i]), expected)
+            << system.name() << " chain " << name << " k=" << ks[i];
+        EXPECT_EQ(io::to_json(dmm_from_artifacts(system, c, latency, artifacts, ks[i],
+                                                 TwcaOptions{}, counting)),
+                  expected)
+            << system.name() << " chain " << name << " k=" << ks[i];
+        ++compared;
+      }
+    }
+  }
+  EXPECT_GE(compared, 60u);
+  // Without problems of two or more parts, splitting could not change a
+  // field and the identity above would prove nothing about it.
+  EXPECT_GT(multi_part_problems, 0u);
 }
 
 }  // namespace

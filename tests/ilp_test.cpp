@@ -206,14 +206,22 @@ TEST_P(PackingRandomCross, IlpMatchesDfs) {
   const PackingSolution b = reference::solve_packing_dfs(p);
   EXPECT_EQ(a.total, b.total) << "seed " << GetParam();
 
-  // The decomposed solver is exact too, for every worker count, and the
-  // parallel schedule never changes the assembled solution.
-  const PackingSolution split1 = solve_packing_split(p, 1);
-  const PackingSolution split4 = solve_packing_split(p, 4);
-  EXPECT_EQ(split1.total, a.total) << "seed " << GetParam();
-  EXPECT_EQ(split4.total, split1.total) << "seed " << GetParam();
-  EXPECT_EQ(split4.counts, split1.counts) << "seed " << GetParam();
-  EXPECT_EQ(split4.nodes, split1.nodes) << "seed " << GetParam();
+  // The decomposed solve is exact too, and its assembled counts are a
+  // feasible packing worth exactly its total.
+  const PackingSolution split = solve_packing(p);
+  EXPECT_EQ(split.total, a.total) << "seed " << GetParam();
+  EXPECT_EQ(split.total, b.total) << "seed " << GetParam();
+  ASSERT_EQ(split.counts.size(), p.item_resources.size()) << "seed " << GetParam();
+  std::vector<Count> used(p.capacities.size(), 0);
+  Count packed = 0;
+  for (std::size_t i = 0; i < p.item_resources.size(); ++i) {
+    packed += split.counts[i];
+    for (const int r : p.item_resources[i]) used[static_cast<std::size_t>(r)] += split.counts[i];
+  }
+  EXPECT_EQ(packed, split.total) << "seed " << GetParam();
+  for (std::size_t r = 0; r < used.size(); ++r) {
+    EXPECT_LE(used[r], p.capacities[r]) << "seed " << GetParam() << " resource " << r;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PackingRandomCross, ::testing::Range(0, 60));
@@ -253,7 +261,7 @@ TEST(PackingPartition, SplitSolveMatchesWholeProblem) {
   p.capacities = {4, 3, 5, 2};
   p.item_resources = {{0, 1}, {1}, {2}, {2, 3}, {3}};
   const PackingSolution whole = solve_packing_ilp(p);
-  const PackingSolution split = solve_packing_split(p, 4);
+  const PackingSolution split = solve_packing(p);
   EXPECT_EQ(split.total, whole.total);
   // Feasibility of the assembled counts.
   std::vector<Count> used(p.capacities.size(), 0);
@@ -265,12 +273,13 @@ TEST(PackingPartition, SplitSolveMatchesWholeProblem) {
 
 TEST(PackingPartition, SplitHandlesEmptyAndDfs) {
   PackingProblem empty;
-  EXPECT_EQ(solve_packing_split(empty, 4).total, 0);
+  EXPECT_EQ(solve_packing(empty).total, 0);
 
   PackingProblem p;
   p.capacities = {3, 2};
   p.item_resources = {{0}, {1}, {0, 1}};
-  EXPECT_EQ(solve_packing_split(p, 2).total, reference::solve_packing_dfs(p).total);
+  EXPECT_EQ(solve_packing(p).total, reference::solve_packing_dfs(p).total);
+  EXPECT_EQ(solve_packing(p).total, solve_packing_ilp(p).total);
 }
 
 }  // namespace

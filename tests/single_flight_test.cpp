@@ -3,8 +3,8 @@
 // run exactly one computation — one miss, N-1 shared joins — with the
 // counts exact (not scheduling-dependent), because the compute callback
 // can hold its flight open until every sibling has joined.  The same
-// guarantee is asserted end-to-end through Engine::run_batch via a
-// gated arrival model.  These tests run under the ASan/UBSan CI job
+// guarantee is asserted end-to-end through concurrent Engine::run calls
+// via a gated arrival model.  These tests run under the ASan/UBSan CI job
 // (WHARF_SANITIZE) like the rest of the suite.
 
 #include <gtest/gtest.h>
@@ -19,6 +19,7 @@
 #include "core/arrival.hpp"
 #include "engine/artifact_store.hpp"
 #include "engine/engine.hpp"
+#include "util/worker_pool.hpp"
 
 namespace wharf {
 namespace {
@@ -187,8 +188,9 @@ TEST(SingleFlight, BatchSiblingsRecordOneMissAndNMinusOneSharedInDiagnostics) {
   const System sys("gated", {Chain(std::move(c))});
 
   const AnalysisRequest request{sys, {}, {DmmQuery{"c", {5}}}};
-  const std::vector<AnalysisRequest> requests(kRequests, request);
-  const std::vector<AnalysisReport> reports = engine.run_batch(requests);
+  std::vector<AnalysisReport> reports(kRequests);
+  util::parallel_for_index(reports.size(), kRequests,
+                           [&](std::size_t i) { reports[i] = engine.run(request); });
   ASSERT_EQ(reports.size(), static_cast<std::size_t>(kRequests));
 
   std::size_t lookups = 0;
